@@ -232,8 +232,8 @@ def quiet_scenario(seed: int, *, sanitize: bool = False,
                    poolsan_out: Optional[list] = None) -> dict[str, Any]:
     """Golden scenario: healthy fabric, clean control plane, no faults.
 
-    Exercises the pure probe/ack/analyze machinery — the workload the
-    fault-free fast path must reproduce byte-for-byte.
+    Exercises the pure probe/ack/analyze machinery on a fabric where
+    every per-hop rule passes without drawing from the RNG.
     """
     cluster = _golden_cluster(seed, sanitize=sanitize)
     if poolsan_out is not None:
@@ -267,7 +267,7 @@ def congested_scenario(seed: int, *, sanitize: bool = False,
     A 1.3x-overloaded tor->agg uplink with PFC headroom misconfigured on
     the cable, active from t=5s to t=35s via FaultManager windows.  Covers
     the fluid-queue integration, queue-overflow drops, RTT inflation, and
-    the mid-run fast-path -> slow-path -> fast-path transitions.
+    the fault knobs flipping on and off under packets in flight.
     """
     cluster = _golden_cluster(seed, sanitize=sanitize)
     if poolsan_out is not None:
@@ -339,7 +339,7 @@ def int_smoke_scenario(seed: int, *, sanitize: bool = False,
     Not a golden scenario: INT telemetry is off by default (the golden
     digests pin the disabled path).  Its job under PoolSan is the
     telemetry stamp/collect cycle itself — per-hop stamps pushed onto
-    pooled packets' payloads on the fast and slow paths, popped at
+    pooled packets' payloads by the forwarding walker, popped at
     delivery, window drains, and Analyzer fusion — proving the collector
     neither leaks stamps into reused packets nor retains pooled refs.
     """

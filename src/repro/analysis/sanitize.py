@@ -439,7 +439,7 @@ def _leak_finding(kind: str, record: _Live, age: int) -> Finding:
 #
 # Every field poisoned here is reassigned by the corresponding pool's
 # reuse path (PacketPool.acquire_roce, Rnic._acquire_cqe, the engine's
-# call_at/schedule, Fabric._begin_transit) — that pairing is what keeps
+# call_at/schedule, Fabric.inject) — that pairing is what keeps
 # sanitized digests byte-identical.  Verify functions return the names of
 # fields whose sentinel was clobbered between release and reacquire.
 

@@ -17,9 +17,9 @@ collector pops before the receiver callback runs, so no packet or dict
 references outlive delivery (PoolSan-clean) and recycled payload dicts
 never leak stamps between probes.
 
-Crucially the *fast path* stamps too: a pure congestion fault
-(`LinkOverload`) keeps the fabric's fault-free forwarding eligible, and
-queue build-up is exactly what INT exists to see.
+The fabric's one forwarding walker stamps at every hop, faulty links
+included, so a pure congestion fault (`LinkOverload`) shows up as the
+queue build-up INT exists to see.
 """
 
 from __future__ import annotations

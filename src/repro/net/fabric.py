@@ -4,8 +4,11 @@ The :class:`Fabric` walks packets hop by hop so that drops happen at the
 right link (which is what Algorithm 1's voting localises), queue delays are
 sampled at traversal time, and TTL semantics work for traceroute.
 
-Packets are injected at a source host port; at each node the next hop is the
-ECMP choice for the packet's outer 5-tuple.  Every hop applies, in order:
+Every injected packet gets a pooled :class:`_Transit` that walks the
+flow's ECMP route, one scheduled event per hop.  The route is resolved
+once per 5-tuple and cached until routing changes (``Topology.route_epoch``);
+a packet in flight when that happens re-resolves the rest of its route
+from the node it has reached.  Every hop applies, in order:
 
 1. physical link state (down -> drop, unless routing already converged
    around the link, in which case ECMP never offered it),
@@ -14,7 +17,10 @@ ECMP choice for the packet's outer 5-tuple.  Every hop applies, in order:
 3. random corruption drops (damaged fiber / dusty optics, fault #2),
 4. silent per-5-tuple drops (the "certain 5-tuples" problem §4.1),
 5. lossy-queue overflow (PFC unconfigured / bad headroom, fault #9),
-6. ingress ACL at the downstream switch (fault #8).
+6. ingress ACL at the downstream switch (fault #8),
+
+then the TTL check at the downstream switch.  On a healthy link each rule
+is a plain attribute read that draws nothing from the RNG.
 
 Delivery invokes the receiver registered for the destination host port —
 normally the RNIC model, which applies its own (host-side) fault logic.
@@ -25,7 +31,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import Callable, Optional
 
 from repro.net.ecmp import EcmpHasher, pick_next_hop
@@ -70,37 +75,36 @@ class DeliveryRecord:
 
 
 class _CachedPath:
-    """A fully resolved route for one 5-tuple: the fast path's unit."""
+    """A route resolved under one ``route_epoch``.
+
+    Usually a flow's whole ECMP route, shared by all its packets.  A route
+    that stops short of its destination ends at a node that had no next
+    hop, or, under adaptive routing, at the hop not yet chosen.
+    """
 
     __slots__ = ("nodes", "hops", "route_epoch")
 
-    def __init__(self, nodes: tuple[str, ...],
-                 hops: tuple[tuple[DirectedLink, bool], ...],
-                 route_epoch: int):
+    def __init__(self, nodes: tuple[str, ...], hops: tuple, route_epoch: int):
         self.nodes = nodes           # node names, endpoints inclusive
-        self.hops = hops             # per hop: (link, next_is_switch)
+        self.hops = hops             # per hop: (link, next Node if a switch)
         self.route_epoch = route_epoch
 
 
 class _Transit:
-    """Pooled per-packet walker for the fault-free fast path.
+    """Pooled per-packet walker: one scheduled event per hop."""
 
-    Schedules exactly one event per hop — the same event count and timing
-    as the slow path's per-hop closures — but with the route, links, and
-    ECMP choices resolved once at injection instead of at every hop.
-    """
+    __slots__ = ("fabric", "packet", "path", "idx", "dst", "is_roce")
 
-    __slots__ = ("fabric", "packet", "path", "idx", "is_roce")
-
-    def __init__(self) -> None:
-        self.fabric: Optional["Fabric"] = None
+    def __init__(self, fabric: "Fabric") -> None:
+        self.fabric = fabric
         self.packet: Optional[Packet] = None
         self.path: Optional[_CachedPath] = None
-        self.idx = 0
+        self.idx = 0                 # the packet is at path.nodes[idx]
+        self.dst = ""
         self.is_roce = True
 
     def __call__(self) -> None:
-        self.fabric._transit_step(self)
+        self.fabric._forward(self)
 
 
 class Fabric:
@@ -119,18 +123,14 @@ class Fabric:
         # take any parallel path, independent of its 5-tuple.  Probing
         # still detects problems, but traced paths stop matching the
         # packets that died — the stated localisation limitation.
-        self._adaptive_routing = False
+        self.adaptive_routing = False
         # Pooling knob: False forces fresh allocations everywhere (digest
         # equivalence with pooling on is a tested invariant).
         self.pooling = pooling
         self.packet_pool = PacketPool(
             limit=packet_pool_size if pooling else 0, sanitizer=sanitizer)
         self._hasher = EcmpHasher()
-        # Fault-free fast-path state: the scan result is valid for exactly
-        # one topology knob_epoch; the resolved-path cache for exactly one
-        # route_epoch (see DESIGN.md §10 for the invalidation rule).
-        self._fault_free = False
-        self._fault_scan_epoch = -1
+        # Resolved routes per 5-tuple, valid for one route_epoch.
         self._path_cache: dict = {}
         self._path_cache_epoch = -1
         self._transit_free: list[_Transit] = []
@@ -146,29 +146,16 @@ class Fabric:
         # never saturate, which is what the metrics registry exports.
         self.drop_counts: dict[str, int] = {}
         # Probe-lifecycle tracer (repro.obs), installed by
-        # Observability.install when tracing is on; None keeps the
-        # per-packet fast path at a single attribute check.
+        # Observability.install when tracing is on; None keeps each hop
+        # at a single attribute check.
         self.tracer = None
         # In-band telemetry collector (repro.diagnosis.inband), installed
         # by IntCollector.install when the "int" backend is deployed.
-        # Same contract as the tracer — None keeps both forwarding paths
-        # at a single attribute check; unlike the tracer, stamping does
-        # NOT disqualify the fast path: queue build-up under a pure
-        # congestion fault is exactly what INT must observe there.
+        # Same contract as the tracer: None costs one attribute check.
         self.int_collector = None
         # Per-fabric packet id source: ids restart at 1 for every cluster
         # so same-process replays see identical ids.
         self._packet_ids = itertools.count(1)
-
-    @property
-    def adaptive_routing(self) -> bool:
-        """Whether per-packet adaptive routing replaces ECMP (§7.5)."""
-        return self._adaptive_routing
-
-    @adaptive_routing.setter
-    def adaptive_routing(self, value: bool) -> None:
-        self._adaptive_routing = value
-        self._fault_scan_epoch = -1   # force a fast-path re-evaluation
 
     # -- wiring ------------------------------------------------------------
 
@@ -206,54 +193,30 @@ class Fabric:
         if dst_port is None:
             self._drop(packet, DropReason.NO_ROUTE, link=None, node=src_port)
             return
-        if self.topology.knob_epoch != self._fault_scan_epoch:
-            self._refresh_fast_path()
-        if self._fault_free and self.tracer is None:
-            cached = self._cached_path(packet.five_tuple, src_port, dst_port)
-            if cached is not None:
-                self._begin_transit(packet, cached)
-                return
-        self._forward(packet, src_port, dst_port, path=[src_port])
-
-    # -- fault-free fast path ------------------------------------------------
-
-    def _refresh_fast_path(self) -> None:
-        """Re-evaluate fast-path eligibility for the current knob epoch.
-
-        The fast path may run only when per-hop checking is provably a
-        no-op for every link: all links up and not routed-around, no PFC
-        deadlock, no corruption or silent-drop rules (their RNG draws and
-        counters must not be skipped), PFC healthy everywhere (so
-        ``congestion_drop_prob`` short-circuits to 0 without touching the
-        fluid queue), and no ACL rules on any switch.  Any knob write bumps
-        ``Topology.knob_epoch``, which forces this scan to rerun.
-        """
-        topology = self.topology
-        self._fault_scan_epoch = topology.knob_epoch
-        if self._adaptive_routing:
-            self._fault_free = False
-            return
-        for link in topology.links.values():
-            pair = link.pair
-            if (not pair.up
-                    or pair.routed_around
-                    or link.pfc_deadlocked
-                    or link.corruption_drop_prob > 0.0
-                    or link.silent_drop_predicate is not None
-                    or not link.pfc_enabled
-                    or not link.pfc_headroom_ok):
-                self._fault_free = False
-                return
-        for node in topology.nodes.values():
-            if node.acl.rule_count:
-                self._fault_free = False
-                return
-        self._fault_free = True
+        free = self._transit_free
+        if free:
+            transit = free.pop()
+            if self.sanitizer is not None:
+                self.sanitizer.reacquire_transit(transit)
+        else:
+            transit = _Transit(self)
+            if self.sanitizer is not None:
+                self.sanitizer.acquire_transit(transit)
+        transit.packet = packet  # detlint: disable=DET007 in-flight slot; cleared by _release_transit before the packet is recycled
+        transit.path = self._cached_path(packet.five_tuple, src_port,
+                                         dst_port)
+        transit.idx = 0
+        transit.dst = dst_port
+        transit.is_roce = packet.traffic_class == TC_ROCE
+        self._forward(transit)
 
     def _cached_path(self, five_tuple, src_port: str,
-                     dst_port: str) -> Optional[_CachedPath]:
+                     dst_port: str) -> _CachedPath:
         """The resolved route for this flow, cached per route_epoch."""
         epoch = self.topology.route_epoch
+        if self.adaptive_routing:
+            # Nothing to cache: _forward picks each hop as it is taken.
+            return _CachedPath((src_port,), (), epoch)
         cache = self._path_cache
         if self._path_cache_epoch != epoch:
             cache.clear()
@@ -262,52 +225,41 @@ class Fabric:
         if (cached is not None and cached.nodes[0] == src_port
                 and cached.nodes[-1] == dst_port):
             return cached
-        cached = self._resolve_path(five_tuple, src_port, dst_port)
-        if cached is not None:
-            if len(cache) >= 65536:
-                cache.clear()
-            cache[five_tuple] = cached
+        cached = self._resolve_path(five_tuple, (src_port,), (), dst_port)
+        if len(cache) >= 65536:
+            cache.clear()
+        cache[five_tuple] = cached
         return cached
 
-    def _resolve_path(self, five_tuple, src_port: str,
-                      dst_port: str) -> Optional[_CachedPath]:
-        """Walk the per-hop ECMP choices once; None falls back to _forward."""
+    def _resolve_path(self, five_tuple, nodes: tuple, hops: tuple,
+                      dst_port: str) -> _CachedPath:
+        """Extend the route ``nodes``/``hops`` toward ``dst_port``.
+
+        ECMP resolves every remaining hop at once.  Adaptive routing
+        resolves only the next one, drawing its choice as the packet takes
+        that hop.  Either way the route stops at a node with no next hop.
+        """
         topology = self.topology
-        hasher = self._hasher
-        nodes = [src_port]
-        hops = []
-        node = src_port
-        guard = 0
+        adaptive = self.adaptive_routing
+        nodes = list(nodes)
+        hops = list(hops)
+        node = nodes[-1]
         while node != dst_port:
-            guard += 1
-            if guard > 64:
-                return None
             candidates = topology.next_hops(node, dst_port)
             if not candidates:
-                return None
-            next_node = hasher.pick(five_tuple, node, candidates)
+                break
+            if adaptive and len(candidates) > 1:
+                next_node = self.rng.choice(candidates)
+            else:
+                next_node = self._hasher.pick(five_tuple, node, candidates)
+            vertex = topology.nodes[next_node]
             hops.append((topology.links[(node, next_node)],
-                         topology.nodes[next_node].is_switch))
+                         vertex if vertex.is_switch else None))
             nodes.append(next_node)
             node = next_node
+            if adaptive:
+                break
         return _CachedPath(tuple(nodes), tuple(hops), topology.route_epoch)
-
-    def _begin_transit(self, packet: Packet, cached: _CachedPath) -> None:
-        free = self._transit_free
-        if free:
-            transit = free.pop()
-            if self.sanitizer is not None:
-                self.sanitizer.reacquire_transit(transit)
-        else:
-            transit = _Transit()
-            if self.sanitizer is not None:
-                self.sanitizer.acquire_transit(transit)
-        transit.fabric = self
-        transit.packet = packet  # detlint: disable=DET007 in-flight slot; cleared by _release_transit before the packet is recycled
-        transit.path = cached
-        transit.idx = 0
-        transit.is_roce = packet.traffic_class == TC_ROCE
-        self._transit_step(transit)
 
     def _release_transit(self, transit: _Transit) -> None:
         transit.packet = None
@@ -319,138 +271,94 @@ class Fabric:
         if recycled:
             free.append(transit)
 
-    def _transit_step(self, transit: _Transit) -> None:
-        cached = transit.path
-        idx = transit.idx
-        nodes = cached.nodes
-        if idx == len(nodes) - 1:
-            # Arrived: mirror _deliver (no tracer on the fast path), then
-            # recycle the packet — delivery is the only release point.
-            packet = transit.packet
-            self._release_transit(transit)
-            self.packets_delivered += 1
-            if self.int_collector is not None:
-                self.int_collector.collect(packet, self.sim.now)
-            receiver = self._receivers.get(nodes[-1])
-            if receiver is not None:
-                receiver(packet, DeliveryRecord(self.sim.now, nodes))
-            self.packet_pool.release(packet)
-            return
-        topology = self.topology
-        if topology.knob_epoch != self._fault_scan_epoch:
-            self._refresh_fast_path()
-        if (not self._fault_free or self.tracer is not None
-                or cached.route_epoch != topology.route_epoch):
-            # A fault/route/tracer change landed mid-flight: resume this
-            # packet on the classic per-hop path from its current node, so
-            # it sees exactly the checks the old code would have applied.
-            packet = transit.packet
-            node = nodes[idx]
-            path = list(nodes[:idx + 1])
-            self._release_transit(transit)
-            self._forward(packet, node, nodes[-1], path)
-            return
-        packet = transit.packet
-        link, next_is_switch = cached.hops[idx]
-        if next_is_switch:
-            packet.ttl -= 1
-            if packet.ttl <= 0:
-                self._drop(packet, DropReason.TTL_EXPIRED, link=link.name,
-                           node=nodes[idx + 1])
-                self._release_transit(transit)
-                return
-        delay = link.traversal_delay_ns(self.sim.now, packet.size_bytes,
-                                        roce_queue=transit.is_roce)
-        if next_is_switch:
-            delay += SWITCH_FORWARD_LATENCY_NS
-        link.packets_forwarded += 1
-        if self.int_collector is not None:
-            self.int_collector.stamp(packet, link, self.sim.now)
-        transit.idx = idx + 1
-        self.sim.schedule(delay, transit)
+    # -- the walker --------------------------------------------------------
 
-    # -- classic per-hop path ------------------------------------------------
-
-    def _forward(self, packet: Packet, node: str, dst_port: str,
-                 path: list[str]) -> None:
-        if node == dst_port:
-            self._deliver(packet, path)
-            return
-        candidates = self.topology.next_hops(node, dst_port)
-        if not candidates:
-            self._drop(packet, DropReason.NO_ROUTE, link=None, node=node)
-            return
-        if self._adaptive_routing and len(candidates) > 1:
-            next_node = self.rng.choice(candidates)
-        else:
-            next_node = self._hasher.pick(packet.five_tuple, node, candidates)
-        link = self.topology.link(node, next_node)
-        now = self.sim.now
-        is_roce = packet.traffic_class == TC_ROCE
-
-        reason = self._check_link(packet, link, now, is_roce)
-        if reason is not None:
-            self._drop(packet, reason, link=link.name, node=node)
-            return
-
-        next_is_switch = self.topology.nodes[next_node].is_switch
-        if next_is_switch:
-            if not self.topology.nodes[next_node].acl.permits(packet.five_tuple):
-                self._drop(packet, DropReason.ACL_DENY, link=link.name,
-                           node=next_node)
-                return
-            packet.ttl -= 1
-            if packet.ttl <= 0:
-                self._drop(packet, DropReason.TTL_EXPIRED, link=link.name,
-                           node=next_node)
-                return
-
-        delay = link.traversal_delay_ns(now, packet.size_bytes,
-                                        roce_queue=is_roce)
-        if next_is_switch:
-            delay += SWITCH_FORWARD_LATENCY_NS
-        link.packets_forwarded += 1
-        if self.int_collector is not None:
-            self.int_collector.stamp(packet, link, now)
-        path.append(next_node)
-        if self.tracer is not None:
-            seq, leg = self._probe_leg(packet)
-            if seq is not None:
-                fields = {"leg": leg, "node": node, "next": next_node,
-                          "delay_ns": delay, "ecmp_ways": len(candidates)}
-                if link.pause_delay_ns:
-                    fields["pfc_pause_ns"] = link.pause_delay_ns
-                self.tracer.event(seq, now, "fabric.hop", **fields)
-        self.sim.schedule(
-            delay, partial(self._forward, packet, next_node, dst_port, path))
-
-    def _check_link(self, packet: Packet, link: DirectedLink,
-                    now: int, is_roce: bool) -> Optional[DropReason]:
-        """Apply the per-hop drop rules; return a reason or None.
+    def _forward(self, transit: _Transit) -> None:
+        """Move the transit's packet one hop along its route, or deliver it.
 
         PFC deadlock and lossy-RoCE-queue overflow affect only the RoCE
         traffic class: a TCP probe sails through a PFC-deadlocked link,
         which is precisely why TCP Pingmesh cannot detect those problems
         (§2.4).  Physical faults (down links, corruption) hit both classes.
         """
-        if not link.up:
-            return DropReason.LINK_DOWN
-        if is_roce and link.pfc_deadlocked:
-            return DropReason.PFC_DEADLOCK
-        if link.corruption_drop_prob > 0 and self.rng.chance(
-                link.corruption_drop_prob):
-            link.crc_errors += 1   # the counter operators would inspect
-            return DropReason.CORRUPTION
-        if (link.silent_drop_predicate is not None
-                and link.silent_drop_predicate(packet.five_tuple)):
-            return DropReason.SILENT_DROP
-        if is_roce:
-            overflow = link.congestion_drop_prob(now)
-            if overflow > 0 and self.rng.chance(overflow):
-                return DropReason.QUEUE_OVERFLOW
-        return None
+        route = transit.path
+        idx = transit.idx
+        hops = route.hops
+        if (idx == len(hops) or route.route_epoch != self.topology.route_epoch
+                or self.adaptive_routing):
+            if route.nodes[idx] == transit.dst:
+                self._deliver(transit)
+                return
+            # Routing changed since the route was resolved, or the route
+            # ends here: resolve the rest from the current node.
+            route = transit.path = self._resolve_path(
+                transit.packet.five_tuple, route.nodes[:idx + 1],
+                hops[:idx], transit.dst)
+            hops = route.hops
+            if idx == len(hops):
+                self._drop_transit(transit, DropReason.NO_ROUTE, None,
+                                   route.nodes[idx])
+                return
+        packet = transit.packet
+        link, next_switch = hops[idx]
+        now = self.sim.now
+        is_roce = transit.is_roce
 
-    def _deliver(self, packet: Packet, path: list[str]) -> None:
+        reason = None
+        if not link.pair.up:
+            reason = DropReason.LINK_DOWN
+        elif is_roce and link.pfc_deadlocked:
+            reason = DropReason.PFC_DEADLOCK
+        elif (link.corruption_drop_prob > 0.0
+                and self.rng.chance(link.corruption_drop_prob)):
+            link.crc_errors += 1   # the counter operators would inspect
+            reason = DropReason.CORRUPTION
+        elif (link.silent_drop_predicate is not None
+                and link.silent_drop_predicate(packet.five_tuple)):
+            reason = DropReason.SILENT_DROP
+        elif (is_roce and not (link.pfc_enabled and link.pfc_headroom_ok)
+                and self.rng.chance(link.congestion_drop_prob(now))):
+            reason = DropReason.QUEUE_OVERFLOW
+        if reason is not None:
+            self._drop_transit(transit, reason, link.name, route.nodes[idx])
+            return
+        if next_switch is not None:
+            acl = next_switch.acl
+            if acl.deny_rules and not acl.permits(packet.five_tuple):
+                self._drop_transit(transit, DropReason.ACL_DENY, link.name,
+                                   next_switch.name)
+                return
+            packet.ttl -= 1
+            if packet.ttl <= 0:
+                self._drop_transit(transit, DropReason.TTL_EXPIRED,
+                                   link.name, next_switch.name)
+                return
+
+        delay = link.traversal_delay_ns(now, packet.size_bytes,
+                                        roce_queue=is_roce)
+        if next_switch is not None:
+            delay += SWITCH_FORWARD_LATENCY_NS
+        link.packets_forwarded += 1
+        if self.int_collector is not None:
+            self.int_collector.stamp(packet, link, now)
+        if self.tracer is not None:
+            seq, leg = self._probe_leg(packet)
+            if seq is not None:
+                node = route.nodes[idx]
+                ways = len(self.topology.next_hops(node, transit.dst))
+                fields = {"leg": leg, "node": node,
+                          "next": route.nodes[idx + 1], "delay_ns": delay,
+                          "ecmp_ways": ways}
+                if link.pause_delay_ns:
+                    fields["pfc_pause_ns"] = link.pause_delay_ns
+                self.tracer.event(seq, now, "fabric.hop", **fields)
+        transit.idx = idx + 1
+        self.sim.schedule(delay, transit)
+
+    def _deliver(self, transit: _Transit) -> None:
+        packet = transit.packet
+        path = transit.path.nodes
+        self._release_transit(transit)
         self.packets_delivered += 1
         if self.int_collector is not None:
             self.int_collector.collect(packet, self.sim.now)
@@ -461,10 +369,16 @@ class Fabric:
                                   leg=leg, dst=path[-1], hops=len(path) - 1)
         receiver = self._receivers.get(path[-1])
         if receiver is not None:
-            receiver(packet, DeliveryRecord(self.sim.now, tuple(path)))
+            receiver(packet, DeliveryRecord(self.sim.now, path))
         # Delivered pool-owned packets are recycled once the receiver is
         # done with them; dropped packets never are (DropRecords keep them).
         self.packet_pool.release(packet)
+
+    def _drop_transit(self, transit: _Transit, reason: DropReason,
+                      link: Optional[str], node: str) -> None:
+        packet = transit.packet
+        self._release_transit(transit)
+        self._drop(packet, reason, link=link, node=node)
 
     def _drop(self, packet: Packet, reason: DropReason, *,
               link: Optional[str], node: Optional[str]) -> None:

@@ -23,6 +23,13 @@ Lossless behaviour: with PFC enabled the queue saturates at the buffer limit
 and packets are delayed, not dropped.  With PFC unconfigured or headroom
 misconfigured (fault #9), packets arriving at a saturated queue are dropped
 with a probability proportional to the overload.
+
+Fault state
+-----------
+Fault knobs (link state, corruption, silent drops, PFC, ACLs) are plain
+attributes that the fabric's forwarding walker reads at every hop, so
+setting one needs no notification.  Only routing changes do: they bump
+``Topology.route_epoch``, which retires the fabric's resolved routes.
 """
 
 from __future__ import annotations
@@ -70,42 +77,31 @@ class Acl:
     """Per-switch access control list (default: permit everything)."""
 
     def __init__(self) -> None:
-        self._deny_rules: list[AclRule] = []
-        # Topology hook (set by add_node): rule edits bump the fault-knob
-        # epoch so the fabric's fault-free fast path re-evaluates.
-        self._on_change: Optional[Callable[[], None]] = None
-
-    def _changed(self) -> None:
-        callback = self._on_change
-        if callback is not None:
-            callback()
+        self.deny_rules: list[AclRule] = []
 
     def deny(self, src_ip: Optional[str] = None,
              dst_ip: Optional[str] = None) -> AclRule:
         """Install a deny rule and return it (for later removal)."""
         rule = AclRule(src_ip, dst_ip)
-        self._deny_rules.append(rule)
-        self._changed()
+        self.deny_rules.append(rule)
         return rule
 
     def remove(self, rule: AclRule) -> None:
         """Remove a previously installed rule (no-op if absent)."""
-        if rule in self._deny_rules:
-            self._deny_rules.remove(rule)
-            self._changed()
+        if rule in self.deny_rules:
+            self.deny_rules.remove(rule)
 
     def clear(self) -> None:
         """Remove all deny rules."""
-        self._deny_rules.clear()
-        self._changed()
+        self.deny_rules.clear()
 
     def permits(self, five_tuple: FiveTuple) -> bool:
         """Whether the packet passes the ACL."""
-        return not any(rule.matches(five_tuple) for rule in self._deny_rules)
+        return not any(rule.matches(five_tuple) for rule in self.deny_rules)
 
     @property
     def rule_count(self) -> int:
-        return len(self._deny_rules)
+        return len(self.deny_rules)
 
 
 class TracerouteLimiter:
@@ -161,39 +157,24 @@ class Node:
 class LinkPair:
     """Shared physical-cable state for the two directions of a cable."""
 
-    __slots__ = ("name", "_up", "_routed_around", "last_transition_ns",
-                 "transition_count", "_on_change")
+    __slots__ = ("name", "up", "_routed_around", "last_transition_ns",
+                 "transition_count", "_on_route_change")
 
     def __init__(self, name: str, up: bool = True,
                  routed_around: bool = False,
                  last_transition_ns: int = -(1 << 62),
                  transition_count: int = 0):
         self.name = name
-        self._up = up
+        self.up = up                 # physical cable state (both directions)
         self._routed_around = routed_around
         # Last up/down transition (flap detection for transports).
         self.last_transition_ns = last_transition_ns
         # Lifetime transition count (the "port flap counter" operators read).
         self.transition_count = transition_count
-        # Topology hook (set by add_cable), called with whether the change
-        # affects routing.  State writes route through it so that *any*
-        # writer — faults or tests poking pairs directly — invalidates the
-        # fabric's fast-path and route caches.
-        self._on_change: Optional[Callable[[bool], None]] = None
-
-    @property
-    def up(self) -> bool:
-        """Physical cable state (both directions)."""
-        return self._up
-
-    @up.setter
-    def up(self, value: bool) -> None:
-        if value == self._up:
-            return
-        self._up = value
-        callback = self._on_change
-        if callback is not None:
-            callback(False)
+        # Topology hook (set by add_cable): routed_around flips go through
+        # it so that *any* writer — faults or tests poking pairs directly —
+        # invalidates the next-hop memo and the fabric's resolved routes.
+        self._on_route_change: Optional[Callable[[], None]] = None
 
     @property
     def routed_around(self) -> bool:
@@ -205,9 +186,9 @@ class LinkPair:
         if value == self._routed_around:
             return
         self._routed_around = value
-        callback = self._on_change
+        callback = self._on_route_change
         if callback is not None:
-            callback(True)
+            callback()
 
     def mark_transition(self, now_ns: int) -> None:
         """Record an up/down state change at ``now_ns``."""
@@ -239,17 +220,15 @@ class DirectedLink:
         self.propagation_ns = propagation_ns
         self.buffer_bytes = buffer_bytes
 
-        # Fault knobs (driven by repro.net.faults).  Writes go through
-        # properties that notify the owning topology (fault-knob epoch) so
-        # the fabric's fault-free fast path re-evaluates; rate/propagation
-        # are construction-time constants, which the base-delay cache and
-        # the ECMP path cache both rely on.
-        self._corruption_drop_prob = 0.0
-        self._silent_drop_predicate: Optional[Callable[[FiveTuple], bool]] = None
-        self._pfc_enabled = True
-        self._pfc_headroom_ok = True
-        self._pfc_deadlocked = False
-        self._on_knob_change: Optional[Callable[[], None]] = None
+        # Fault knobs (driven by repro.net.faults), read by the fabric on
+        # every hop.  rate/propagation are construction-time constants,
+        # which the base-delay cache and the ECMP path cache both rely on.
+        self.corruption_drop_prob = 0.0          # fault #2
+        # Per-5-tuple silent-drop rule (the §4.1 problem), or None.
+        self.silent_drop_predicate: Optional[Callable[[FiveTuple], bool]] = None
+        self.pfc_enabled = True                  # PFC on the RoCE queue
+        self.pfc_headroom_ok = True              # fault #9 clears it
+        self.pfc_deadlocked = False              # blocks the RoCE queue
         # Extra fixed delay, e.g. PFC storm pause pressure (Figure 8 right).
         self.pause_delay_ns = 0
 
@@ -265,62 +244,6 @@ class DirectedLink:
         self.packets_dropped = 0
         # CRC error counter, as a switch would expose for this port.
         self.crc_errors = 0
-
-    def _knob_changed(self) -> None:
-        callback = self._on_knob_change
-        if callback is not None:
-            callback()
-
-    @property
-    def corruption_drop_prob(self) -> float:
-        """Per-packet corruption drop probability (fault #2)."""
-        return self._corruption_drop_prob
-
-    @corruption_drop_prob.setter
-    def corruption_drop_prob(self, value: float) -> None:
-        self._corruption_drop_prob = value
-        self._knob_changed()
-
-    @property
-    def silent_drop_predicate(self) -> Optional[Callable[[FiveTuple], bool]]:
-        """Per-5-tuple silent-drop rule (the §4.1 problem), or None."""
-        return self._silent_drop_predicate
-
-    @silent_drop_predicate.setter
-    def silent_drop_predicate(
-            self, value: Optional[Callable[[FiveTuple], bool]]) -> None:
-        self._silent_drop_predicate = value
-        self._knob_changed()
-
-    @property
-    def pfc_enabled(self) -> bool:
-        """Whether PFC is configured on the RoCE queue."""
-        return self._pfc_enabled
-
-    @pfc_enabled.setter
-    def pfc_enabled(self, value: bool) -> None:
-        self._pfc_enabled = value
-        self._knob_changed()
-
-    @property
-    def pfc_headroom_ok(self) -> bool:
-        """Whether PFC headroom is sized correctly (fault #9 clears it)."""
-        return self._pfc_headroom_ok
-
-    @pfc_headroom_ok.setter
-    def pfc_headroom_ok(self, value: bool) -> None:
-        self._pfc_headroom_ok = value
-        self._knob_changed()
-
-    @property
-    def pfc_deadlocked(self) -> bool:
-        """Whether a PFC deadlock blocks the RoCE queue."""
-        return self._pfc_deadlocked
-
-    @pfc_deadlocked.setter
-    def pfc_deadlocked(self, value: bool) -> None:
-        self._pfc_deadlocked = value
-        self._knob_changed()
 
     @property
     def name(self) -> str:
@@ -409,26 +332,19 @@ class Topology:
         self._adjacency: dict[str, list[str]] = {}
         self._next_hops: dict[str, dict[str, list[str]]] = {}
         self._routes_dirty = True
-        # Invalidations for the fabric's fast-path caches (DESIGN.md §10):
-        # knob_epoch bumps on any fault-knob / link-state / ACL change
-        # (fault-free scan result is stale); route_epoch bumps whenever
-        # next-hop tables are invalidated (resolved-path cache is stale).
-        self.knob_epoch = 0
+        # Bumps whenever next_hops() may answer differently: the fabric's
+        # resolved routes are valid for one epoch (DESIGN.md §10).
         self.route_epoch = 0
         # (node, dst) -> filtered ECMP candidates, valid for the current
         # route tables + routed_around flags.
         self._next_hop_memo: dict[tuple[str, str], list[str]] = {}
 
-    def _bump_knob_epoch(self) -> None:
-        self.knob_epoch += 1
-
-    def _pair_changed(self, routing_changed: bool) -> None:
-        self.knob_epoch += 1
-        if routing_changed:
-            # routed_around flips alter the live next_hops filter but NOT
-            # the stale BFS tables (reconvergence needs an explicit
-            # invalidate_routes — the black-hole window depends on this).
-            self._next_hop_memo.clear()
+    def _routed_around_changed(self) -> None:
+        # routed_around flips alter the live next_hops filter but NOT the
+        # stale BFS tables (reconvergence needs an explicit
+        # invalidate_routes — the black-hole window depends on this).
+        self.route_epoch += 1
+        self._next_hop_memo.clear()
 
     # -- construction -----------------------------------------------------
 
@@ -437,7 +353,6 @@ class Topology:
         if name in self.nodes:
             raise ValueError(f"duplicate node name: {name}")
         node = Node(name=name, kind=kind, tier=tier)
-        node.acl._on_change = self._bump_knob_epoch
         self.nodes[name] = node
         self._adjacency[name] = []
         self.invalidate_routes()
@@ -461,12 +376,11 @@ class Topology:
         if (a, b) in self.links:
             raise ValueError(f"duplicate cable: {a} <-> {b}")
         pair = LinkPair(name=f"{a}<->{b}")
-        pair._on_change = self._pair_changed
+        pair._on_route_change = self._routed_around_changed
         for src, dst in ((a, b), (b, a)):
             link = DirectedLink(
                 src, dst, pair, rate_gbps=rate_gbps,
                 propagation_ns=propagation_ns, buffer_bytes=buffer_bytes)
-            link._on_knob_change = self._bump_knob_epoch
             self.links[(src, dst)] = link
             self._adjacency[src].append(dst)
         self.invalidate_routes()

@@ -29,6 +29,12 @@ from repro.serve.checkpoint import CheckpointError, save_checkpoint
 from repro.serve.session import ServeSession, parse_fault_spec
 
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+# POST bodies are tiny JSON documents; anything larger is refused unread.
+MAX_POST_BYTES = 64 * 1024
+
+
+def _json_body(payload: dict) -> bytes:
+    return (json.dumps(payload, sort_keys=True) + "\n").encode()
 
 
 class ServeHTTPServer:
@@ -46,6 +52,10 @@ class ServeHTTPServer:
 
         class Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            # Headers and body go out in two writes; with Nagle on, the
+            # client's delayed ACK holds the body back ~40 ms per
+            # keep-alive response.
+            disable_nagle_algorithm = True
 
             def log_message(self, *args) -> None:
                 pass  # the TUI owns stdout; drop per-request chatter
@@ -59,8 +69,7 @@ class ServeHTTPServer:
                 self.wfile.write(body)
 
             def _json(self, code: int, payload: dict) -> None:
-                self._respond(code, (json.dumps(payload, sort_keys=True)
-                                     + "\n").encode())
+                self._respond(code, _json_body(payload))
 
             def do_GET(self) -> None:
                 outer._handle_get(self)
@@ -91,6 +100,9 @@ class ServeHTTPServer:
     # -- endpoint dispatch --------------------------------------------------
 
     def _handle_get(self, handler) -> None:
+        # Payloads are built under the lock the tick loop shares; sockets
+        # are written only after it is released, so a slow client can
+        # never stall the simulation.
         path = handler.path.split("?", 1)[0]
         if path == "/metrics":
             with self.lock:
@@ -106,16 +118,32 @@ class ServeHTTPServer:
             handler._json(200 if ready else 503, {"ready": ready})
         elif path == "/status":
             with self.lock:
-                handler._json(200, self.session.status())
+                body = _json_body(self.session.status())
+            handler._respond(200, body)
         elif path == "/alerts":
             with self.lock:
-                handler._json(200, self.session.alerts.as_dict())
+                body = _json_body(self.session.alerts.as_dict())
+            handler._respond(200, body)
         else:
             handler._json(404, {"error": f"no such endpoint: {path}"})
 
     def _handle_post(self, handler) -> None:
         path = handler.path.split("?", 1)[0]
-        length = int(handler.headers.get("Content-Length") or 0)
+        declared = handler.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_POST_BYTES:
+            # The body stays unread, so the connection cannot be reused.
+            handler.close_connection = True
+            if length < 0:
+                handler._json(400, {"error": "bad Content-Length: "
+                                             f"{declared!r}"})
+            else:
+                handler._json(413, {"error": f"body of {length} bytes "
+                                             f"exceeds {MAX_POST_BYTES}"})
+            return
         body = handler.rfile.read(length).decode() if length else ""
         if path == "/checkpoint":
             self._do_checkpoint(handler)

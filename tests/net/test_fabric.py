@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.cluster import Cluster
 from repro.net.addresses import roce_five_tuple, FiveTuple, PROTO_TCP
+from repro.net.clos import ClosParams
 from repro.net.fabric import DropReason, Fabric
+from repro.net.faults import LinkCorruption
 from repro.net.packet import RoCEPacket, TCPPacket
 from repro.net.topology import Tier, Topology
 from repro.sim.engine import Simulator
@@ -189,6 +192,121 @@ class TestDrops:
             fabric.inject(roce_packet(), "a")
         sim.run_until(seconds(1))
         assert len(fabric.drops) == 5
+
+
+class TestRouteChangesMidFlight:
+    """A packet in flight follows the routing in force at each node."""
+
+    def in_flight(self, sim, topo, fabric, src_port=7000):
+        got, drops = [], []
+        fabric.attach_receiver("b", lambda p, rec: got.append(rec))
+        fabric.add_drop_listener(drops.append)
+        fabric.inject(roce_packet(src_port=src_port), "a")
+        # On the a->tor1 wire: tor1's ECMP choice is still ahead.
+        sim.run_until(100)
+        assert topo.link("a", "tor1").packets_forwarded == 1
+        assert not got and not drops
+        return roce_five_tuple("10.0.0.1", "10.0.0.2", src_port), got, drops
+
+    def test_routed_around_flip_ahead(self):
+        sim, topo, fabric = build_fabric()
+        ft, got, drops = self.in_flight(sim, topo, fabric)
+        planned = fabric.path_of(ft, "a")
+        topo.link_pair("tor1", planned[2]).routed_around = True
+        rest = fabric.path_of(ft, "tor1")
+        assert rest[1] != planned[2]
+        sim.run_until(seconds(1))
+        assert got[0].path == ("a", *rest)
+        assert not drops
+
+    def test_invalidate_routes(self):
+        # Converge around the flow's cable, then restore it without
+        # reconverging: the stale tables keep the detour until the
+        # invalidate_routes() that lands mid-flight.
+        sim, topo, fabric = build_fabric()
+        ft = roce_five_tuple("10.0.0.1", "10.0.0.2", 7000)
+        preferred = fabric.path_of(ft, "a")[2]
+        pair = topo.link_pair("tor1", preferred)
+        pair.routed_around = True
+        topo.invalidate_routes()
+        detour = fabric.path_of(ft, "a")[2]   # tables rebuilt without it
+        pair.routed_around = False
+        assert fabric.path_of(ft, "a")[2] == detour != preferred
+        _, got, drops = self.in_flight(sim, topo, fabric)
+        topo.invalidate_routes()
+        rest = fabric.path_of(ft, "tor1")
+        assert rest[1] == preferred
+        sim.run_until(seconds(1))
+        assert got[0].path == ("a", *rest)
+        assert not drops
+
+    def test_corruption_ahead(self):
+        sim, topo, fabric = build_fabric()
+        _, got, drops = self.in_flight(sim, topo, fabric)
+        topo.link("tor2", "b").corruption_drop_prob = 1.0
+        sim.run_until(seconds(1))
+        assert not got
+        assert [(d.reason, d.link, d.node) for d in drops] == [
+            (DropReason.CORRUPTION, "tor2->b", "tor2")]
+
+
+class TestHealthyHopsCostNothing:
+    """One corrupting cable costs RNG draws only to packets crossing it."""
+
+    PACKETS = 40
+
+    def world(self, corrupt):
+        cluster = Cluster.clos(
+            ClosParams(pods=2, tors_per_pod=2, aggs_per_pod=2, spines=2,
+                       hosts_per_tor=3), seed=42)
+        if corrupt:
+            LinkCorruption(cluster, "pod0-agg0", "spine0",
+                           drop_prob=0.5).inject()
+        src = cluster.rnic(cluster.rnics_under_tor("pod0-tor0")[0])
+        dst = cluster.rnic(cluster.rnics_under_tor("pod1-tor0")[0])
+        return cluster, src, dst
+
+    def flow(self, crossing):
+        """A source port whose route does (or does not) cross the cable."""
+        cluster, src, dst = self.world(corrupt=False)
+        cable = {("pod0-agg0", "spine0"), ("spine0", "pod0-agg0")}
+        for port in range(7000, 7200):
+            path = cluster.fabric.path_of(
+                roce_five_tuple(src.ip, dst.ip, port), src.name)
+            if bool(cable & set(zip(path, path[1:]))) == crossing:
+                return port
+        raise AssertionError("no such flow")
+
+    def send(self, cluster, src, dst, port):
+        fabric = cluster.fabric
+        times, drops = [], []
+        fabric.attach_receiver(dst.name,
+                               lambda p, rec: times.append(rec.time_ns))
+        fabric.add_drop_listener(drops.append)
+        draws = fabric.rng.draws
+        for _ in range(self.PACKETS):
+            fabric.inject(RoCEPacket(
+                five_tuple=roce_five_tuple(src.ip, dst.ip, port),
+                size_bytes=108), src.name)
+            cluster.sim.run_for(seconds(0.001))
+        return times, drops, fabric.rng.draws - draws
+
+    def test_flow_avoiding_the_cable_draws_nothing(self):
+        port = self.flow(crossing=False)
+        healthy_times, _, _ = self.send(*self.world(corrupt=False), port)
+        times, drops, draws = self.send(*self.world(corrupt=True), port)
+        assert draws == 0
+        assert not drops
+        assert times == healthy_times
+
+    def test_flow_crossing_the_cable_draws_once_per_crossing(self):
+        port = self.flow(crossing=True)
+        times, drops, draws = self.send(*self.world(corrupt=True), port)
+        assert draws == self.PACKETS
+        assert len(times) + len(drops) == self.PACKETS
+        assert 0 < len(drops) < self.PACKETS
+        assert {(d.reason, d.link) for d in drops} == {
+            (DropReason.CORRUPTION, "pod0-agg0->spine0")}
 
 
 class TestPathOf:

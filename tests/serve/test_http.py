@@ -4,7 +4,10 @@ One module-scoped world keeps this suite fast; every test talks to the
 server over a real socket, exactly as a scraper would.
 """
 
+import http.client
 import json
+import statistics
+import time
 import urllib.error
 import urllib.request
 
@@ -12,7 +15,8 @@ import pytest
 
 from repro.obs.metrics import parse_exposition
 from repro.serve import ServeSession, ServeSpec, read_metadata
-from repro.serve.http import PROMETHEUS_CONTENT_TYPE, ServeHTTPServer
+from repro.serve.http import (MAX_POST_BYTES, PROMETHEUS_CONTENT_TYPE,
+                               ServeHTTPServer)
 from repro.serve.runner import run_serve
 
 
@@ -157,6 +161,89 @@ class TestInjectEndpoint:
             assert code == 403
         finally:
             server.stop()
+
+
+class TestPostLength:
+    def post_with_length(self, server, declared):
+        conn = http.client.HTTPConnection(server.host, server.port,
+                                          timeout=10)
+        try:
+            conn.putrequest("POST", "/inject")
+            conn.putheader("Content-Length", declared)
+            conn.endheaders()  # no body follows
+            response = conn.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("declared", ["abc", "-5", "1.5"])
+    def test_malformed_length_400(self, served, declared):
+        _, server, _ = served
+        code, reply = self.post_with_length(server, declared)
+        assert code == 400
+        assert "Content-Length" in reply["error"]
+
+    def test_oversized_length_413_without_reading(self, served):
+        # The body is never sent: a server that tried to read it would
+        # block until the client's timeout instead of answering.
+        _, server, _ = served
+        code, _ = self.post_with_length(server, str(MAX_POST_BYTES + 1))
+        assert code == 413
+
+
+class TestLockNotHeldWhileWriting:
+    def test_every_endpoint_writes_outside_the_lock(self, tmp_path,
+                                                   monkeypatch):
+        session = ServeSession(ServeSpec(seed=5))
+        server = ServeHTTPServer(session,
+                                 checkpoint_path=str(tmp_path / "ck.bin"),
+                                 allow_inject=True)
+        handler_cls = server._httpd.RequestHandlerClass
+        original = handler_cls.flush_headers
+        writes = []
+
+        def flush_headers(handler):
+            writes.append((handler.path, server.lock.locked()))
+            original(handler)
+        monkeypatch.setattr(handler_cls, "flush_headers", flush_headers)
+        server.start()
+        try:
+            run_serve(session, server, pace_s=0, max_ticks=3)
+            calls = [("/metrics", "GET", None), ("/health", "GET", None),
+                     ("/ready", "GET", None), ("/status", "GET", None),
+                     ("/alerts", "GET", None), ("/nope", "GET", None),
+                     ("/checkpoint", "POST", None),
+                     ("/inject", "POST", {"fault": "link_corruption@5-9:"
+                                                  "pod0-tor0,pod0-agg0"}),
+                     ("/inject", "POST", {"fault": "nonsense"}),
+                     ("/nope", "POST", None), ("/shutdown", "POST", None)]
+            for path, method, payload in calls:
+                request(server.url + path, method, payload)
+        finally:
+            server.stop()
+        assert [path for path, _ in writes] == [path for path, _, _ in calls]
+        assert not any(locked for _, locked in writes), writes
+
+
+class TestKeepAlive:
+    def test_sequential_requests_have_no_delayed_ack_floor(self, served):
+        # Headers and body leave in two writes; with Nagle's algorithm on,
+        # the body waits for the client's delayed ACK (~40 ms).
+        _, server, _ = served
+        conn = http.client.HTTPConnection(server.host, server.port,
+                                          timeout=10)
+        elapsed = []
+        try:
+            for _ in range(10):
+                start = time.perf_counter()
+                conn.request("GET", "/health")
+                response = conn.getresponse()
+                response.read()
+                elapsed.append(time.perf_counter() - start)
+                assert response.status == 200
+        finally:
+            conn.close()
+        assert statistics.median(elapsed) < 0.020, elapsed
 
 
 class TestShutdownEndpoint:

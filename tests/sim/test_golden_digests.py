@@ -15,12 +15,13 @@ the commit message.
 
 The three scenarios x three seeds span the behaviour space:
 
-* ``quiet``     - healthy fabric, the fault-free fast path end to end;
-* ``faulted``   - lossy control plane + corrupting link (slow path, RNG
-                  drop draws, retransmission accounting);
+* ``quiet``     - healthy fabric: every per-hop rule passes without an
+                  RNG draw;
+* ``faulted``   - lossy control plane + corrupting link (RNG drop draws
+                  on the faulty hops only, retransmission accounting);
 * ``congested`` - saturated uplink with misconfigured PFC headroom under a
                   FaultManager window (fluid-queue integration, overflow
-                  drops, and the fast->slow->fast mid-run transitions).
+                  drops, and fault knobs flipping under packets in flight).
 """
 
 import pytest
