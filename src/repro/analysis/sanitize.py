@@ -1,7 +1,7 @@
 """PoolSan: an opt-in lifetime sanitizer for pooled simulation objects.
 
 The sim-core fast path (DESIGN.md §10) recycles ``RoCEPacket``, ``Cqe``,
-``_Event``, and ``_Transit`` storage through bounded free lists.  Pooling
+and ``_Transit`` storage through bounded free lists.  Pooling
 buys speed but imports the bug class C networking stacks fight with
 ASan: use-after-release, double-release, and leaks.  Today the only
 thing standing between such a bug and a silently-wrong verdict is a
@@ -25,8 +25,7 @@ golden digest flipping far from the root cause.
   site in the message).
 * **leak detection** — a live object older than ``leak_age_ns`` that
   nobody retained on purpose (see :meth:`PoolSanitizer.retain_packet`)
-  becomes a **SAN003** finding carrying its acquire site; for events the
-  check is exact (outstanding records must equal the queue depth).
+  becomes a **SAN003** finding carrying its acquire site.
 
 The sanitizer only *observes*: it never draws randomness, never
 schedules, and every poisoned field is fully reassigned by the pools'
@@ -51,7 +50,7 @@ from repro.sim.units import SECOND
 if TYPE_CHECKING:  # imported for annotations only; avoids import cycles
     from repro.host.rnic import Cqe
     from repro.net.packet import RoCEPacket
-    from repro.sim.engine import Simulator, _Event
+    from repro.sim.engine import Simulator
 
 #: Sentinel written into every int field on release.  Negative so any
 #: stale arithmetic (sizes, timestamps, QPNs) goes loudly wrong instead
@@ -63,7 +62,7 @@ POISON_STR = "<poolsan-poisoned>"
 POISON_KEY = "__poolsan__"
 
 #: The tracked pools, in reporting order.
-POOL_KINDS = ("packet", "cqe", "event", "transit")
+POOL_KINDS = ("packet", "cqe", "transit")
 
 
 class PoolSanitizerError(RuntimeError):
@@ -126,7 +125,7 @@ class PoolSanitizer:
     """Lifetime tracker wired into every pool by ``sanitize=True``.
 
     One sanitizer instance serves one :class:`~repro.cluster.Cluster`
-    (all four pools share the acquisition sequence, so reports interleave
+    (all three pools share the acquisition sequence, so reports interleave
     meaningfully).  All hooks are no-ops in terms of simulation state.
     """
 
@@ -151,7 +150,7 @@ class PoolSanitizer:
     # -- wiring ------------------------------------------------------------
 
     def bind_sim(self, sim: "Simulator") -> None:
-        """Attach the clock source (and event-queue depth) for reports."""
+        """Attach the clock source for reports."""
         self._sim = sim
 
     def _now(self) -> int:
@@ -313,26 +312,6 @@ class PoolSanitizer:
         if token is not None:
             _poison_cqe(cqe, token)
 
-    # -- engine events -----------------------------------------------------
-
-    def acquire_event(self, event: "_Event") -> None:
-        self._register("event", event, self._site())
-
-    def reacquire_event(self, event: "_Event") -> None:
-        site = self._site()
-        freed = self._pop_freed("event", event)
-        if freed is None:
-            self._register("event", event, site)
-            return
-        damaged = _verify_event(event)
-        self._reacquire("event", event, site, damaged,
-                        freed.release_site, freed.acquire_site)
-
-    def release_event(self, event: "_Event", *, recycled: bool) -> None:
-        token = self._note_release("event", event, self._site(), recycled)
-        if token is not None:
-            _poison_event(event)
-
     # -- fabric transits ---------------------------------------------------
 
     def acquire_transit(self, transit: object) -> None:
@@ -380,14 +359,12 @@ class PoolSanitizer:
     def leaks(self) -> list[Finding]:
         """Current leak findings (SAN003), in acquisition order.
 
-        Packets/CQEs/transits: live, un-retained, and older than
-        ``leak_age_ns`` of sim time (younger objects are presumed in
-        flight).  Events: exact — every outstanding record must still be
-        in the calendar queue, in-flight age notwithstanding.
+        Live, un-retained, and older than ``leak_age_ns`` of sim time
+        (younger objects are presumed in flight).
         """
         now = self._now()
         out: list[Finding] = []
-        for kind in ("packet", "cqe", "transit"):
+        for kind in POOL_KINDS:
             for record in sorted(self._live[kind].values(),
                                  key=lambda r: r.seq):
                 if record.retained:
@@ -395,16 +372,6 @@ class PoolSanitizer:
                 age = now - record.acquired_at_ns
                 if age >= self.leak_age_ns:
                     out.append(_leak_finding(kind, record, age))
-        if self._sim is not None:
-            outstanding = len(self._live["event"])
-            queued = self._sim.queue_depth
-            if outstanding != queued:
-                out.append(Finding(
-                    code="SAN003", path="src/repro/sim/engine.py", line=0,
-                    col=1,
-                    message=f"event accounting mismatch: {outstanding} "
-                            f"outstanding _Event record(s) vs {queued} "
-                            "queued — an event escaped the recycle path"))
         return out
 
     def report(self) -> list[Finding]:
@@ -438,9 +405,8 @@ def _leak_finding(kind: str, record: _Live, age: int) -> Finding:
 # -- per-kind poison/verify ----------------------------------------------------
 #
 # Every field poisoned here is reassigned by the corresponding pool's
-# reuse path (PacketPool.acquire_roce, Rnic._acquire_cqe, the engine's
-# call_at/schedule, Fabric.inject) — that pairing is what keeps
-# sanitized digests byte-identical.  Verify functions return the names of
+# reuse path (PacketPool.acquire_roce, Rnic._acquire_cqe, Fabric.inject)
+# — that pairing is what keeps sanitized digests byte-identical.  Verify functions return the names of
 # fields whose sentinel was clobbered between release and reacquire.
 
 def _poison_packet(packet: "RoCEPacket", token: int) -> None:
@@ -505,27 +471,6 @@ def _verify_cqe(cqe: "Cqe", token: int) -> list[str]:
             damaged.append(name)
     if cqe.opcode is not None:
         damaged.append("opcode")
-    return damaged
-
-
-def _poison_event(event: "_Event") -> None:
-    # The engine already cleared callback and bumped gen; poison the
-    # schedule coordinates so a stale handle's reads are obviously wrong.
-    event.time = POISON_INT
-    event.seq = POISON_INT
-    event.cancelled = True
-
-
-def _verify_event(event: "_Event") -> list[str]:
-    damaged = []
-    if event.time != POISON_INT:
-        damaged.append("time")
-    if event.seq != POISON_INT:
-        damaged.append("seq")
-    if event.callback is not None:
-        damaged.append("callback")
-    if event.cancelled is not True:
-        damaged.append("cancelled")
     return damaged
 
 

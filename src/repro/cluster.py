@@ -21,7 +21,7 @@ from repro.net.rail import RailFabricPlan, RailParams, build_rail
 from repro.net.topology import Topology
 from repro.net.traceroute import TracerouteService
 from repro.obs import Observability
-from repro.sim.engine import EVENT_POOL_DEFAULT, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 
 Plan = Union[ClosFabricPlan, RailFabricPlan]
@@ -37,13 +37,13 @@ class Cluster:
         self.plan = plan
         self.topology: Topology = plan.topology
         # Opt-in pool lifetime sanitizer (PoolSan, DESIGN.md §12): one
-        # instance shared by the event, packet, transit, and CQE pools.
+        # instance shared by the packet, transit, and CQE pools.
         # Imported lazily — repro.analysis.runtime imports this module.
         self.sanitizer = None
         if sanitize:
             from repro.analysis.sanitize import PoolSanitizer
             self.sanitizer = PoolSanitizer()
-            sim.set_sanitizer(self.sanitizer)
+            self.sanitizer.bind_sim(sim)
         self.fabric = Fabric(sim, self.topology, rngs.stream("fabric"),
                              pooling=pooling, sanitizer=self.sanitizer)
         self.traceroute = TracerouteService(self.fabric)
@@ -81,14 +81,13 @@ class Cluster:
              pooling: bool = True, sanitize: bool = False) -> "Cluster":
         """Build a 3-tier Clos cluster.
 
-        ``pooling=False`` disables every free-list fast path (events,
-        packets, CQEs) — behaviour must be byte-identical either way,
+        ``pooling=False`` disables every free-list fast path (packets,
+        CQEs, transits) — behaviour must be byte-identical either way,
         which the pooling-equivalence tests assert via replay digests.
         ``sanitize=True`` wraps every pool in the PoolSan lifetime
         sanitizer (same byte-identical contract, same tests).
         """
-        sim = Simulator(seed=seed, check_invariants=check_invariants,
-                        event_pool_size=EVENT_POOL_DEFAULT if pooling else 0)
+        sim = Simulator(seed=seed, check_invariants=check_invariants)
         rngs = RngRegistry(seed)
         return cls(sim, rngs, build_clos(params or ClosParams()),
                    pooling=pooling, sanitize=sanitize)
@@ -98,8 +97,7 @@ class Cluster:
              seed: int = 0, check_invariants: bool = False,
              pooling: bool = True, sanitize: bool = False) -> "Cluster":
         """Build a two-tier rail-optimized cluster (§7.4)."""
-        sim = Simulator(seed=seed, check_invariants=check_invariants,
-                        event_pool_size=EVENT_POOL_DEFAULT if pooling else 0)
+        sim = Simulator(seed=seed, check_invariants=check_invariants)
         rngs = RngRegistry(seed)
         return cls(sim, rngs, build_rail(params or RailParams()),
                    pooling=pooling, sanitize=sanitize)

@@ -5,7 +5,10 @@ right link (which is what Algorithm 1's voting localises), queue delays are
 sampled at traversal time, and TTL semantics work for traceroute.
 
 Every injected packet gets a pooled :class:`_Transit` that walks the
-flow's ECMP route, one scheduled event per hop.  The route is resolved
+flow's ECMP route.  A hop is scheduled as an event of its own unless
+nothing queued can run before it, in which case the event that computed
+it takes it inline (:meth:`Simulator.run_ahead`); either way every hop
+runs the same rules at its own simulated time.  The route is resolved
 once per 5-tuple and cached until routing changes (``Topology.route_epoch``);
 a packet in flight when that happens re-resolves the rest of its route
 from the node it has reached.  Every hop applies, in order:
@@ -91,7 +94,7 @@ class _CachedPath:
 
 
 class _Transit:
-    """Pooled per-packet walker: one scheduled event per hop."""
+    """Pooled per-packet walker: the event that takes the packet's hops."""
 
     __slots__ = ("fabric", "packet", "path", "idx", "dst", "is_roce")
 
@@ -104,7 +107,7 @@ class _Transit:
         self.is_roce = True
 
     def __call__(self) -> None:
-        self.fabric._forward(self)
+        self.fabric._forward(self, True)
 
 
 class Fabric:
@@ -273,87 +276,98 @@ class Fabric:
 
     # -- the walker --------------------------------------------------------
 
-    def _forward(self, transit: _Transit) -> None:
+    def _forward(self, transit: _Transit, popped: bool = False) -> None:
         """Move the transit's packet one hop along its route, or deliver it.
 
         PFC deadlock and lossy-RoCE-queue overflow affect only the RoCE
         traffic class: a TCP probe sails through a PFC-deadlocked link,
         which is precisely why TCP Pingmesh cannot detect those problems
         (§2.4).  Physical faults (down links, corruption) hit both classes.
+
+        ``popped`` says the call is the transit's own event, so nothing
+        else runs after it returns; then each next hop that nothing queued
+        can overtake (:meth:`Simulator.run_ahead`) runs here, at its own
+        time, instead of in an event of its own.
         """
-        route = transit.path
-        idx = transit.idx
-        hops = route.hops
-        if (idx == len(hops) or route.route_epoch != self.topology.route_epoch
-                or self.adaptive_routing):
-            if route.nodes[idx] == transit.dst:
-                self._deliver(transit)
-                return
-            # Routing changed since the route was resolved, or the route
-            # ends here: resolve the rest from the current node.
-            route = transit.path = self._resolve_path(
-                transit.packet.five_tuple, route.nodes[:idx + 1],
-                hops[:idx], transit.dst)
+        sim = self.sim
+        while True:
+            route = transit.path
+            idx = transit.idx
             hops = route.hops
-            if idx == len(hops):
-                self._drop_transit(transit, DropReason.NO_ROUTE, None,
+            if (idx == len(hops)
+                    or route.route_epoch != self.topology.route_epoch
+                    or self.adaptive_routing):
+                if route.nodes[idx] == transit.dst:
+                    self._deliver(transit)
+                    return
+                # Routing changed since the route was resolved, or the
+                # route ends here: resolve the rest from the current node.
+                route = transit.path = self._resolve_path(
+                    transit.packet.five_tuple, route.nodes[:idx + 1],
+                    hops[:idx], transit.dst)
+                hops = route.hops
+                if idx == len(hops):
+                    self._drop_transit(transit, DropReason.NO_ROUTE, None,
+                                       route.nodes[idx])
+                    return
+            packet = transit.packet
+            link, next_switch = hops[idx]
+            now = sim.now
+            is_roce = transit.is_roce
+
+            reason = None
+            if not link.pair.up:
+                reason = DropReason.LINK_DOWN
+            elif is_roce and link.pfc_deadlocked:
+                reason = DropReason.PFC_DEADLOCK
+            elif (link.corruption_drop_prob > 0.0
+                    and self.rng.chance(link.corruption_drop_prob)):
+                link.crc_errors += 1   # the counter operators would inspect
+                reason = DropReason.CORRUPTION
+            elif (link.silent_drop_predicate is not None
+                    and link.silent_drop_predicate(packet.five_tuple)):
+                reason = DropReason.SILENT_DROP
+            elif (is_roce and not (link.pfc_enabled and link.pfc_headroom_ok)
+                    and self.rng.chance(link.congestion_drop_prob(now))):
+                reason = DropReason.QUEUE_OVERFLOW
+            if reason is not None:
+                self._drop_transit(transit, reason, link.name,
                                    route.nodes[idx])
                 return
-        packet = transit.packet
-        link, next_switch = hops[idx]
-        now = self.sim.now
-        is_roce = transit.is_roce
+            if next_switch is not None:
+                acl = next_switch.acl
+                if acl.deny_rules and not acl.permits(packet.five_tuple):
+                    self._drop_transit(transit, DropReason.ACL_DENY,
+                                       link.name, next_switch.name)
+                    return
+                packet.ttl -= 1
+                if packet.ttl <= 0:
+                    self._drop_transit(transit, DropReason.TTL_EXPIRED,
+                                       link.name, next_switch.name)
+                    return
 
-        reason = None
-        if not link.pair.up:
-            reason = DropReason.LINK_DOWN
-        elif is_roce and link.pfc_deadlocked:
-            reason = DropReason.PFC_DEADLOCK
-        elif (link.corruption_drop_prob > 0.0
-                and self.rng.chance(link.corruption_drop_prob)):
-            link.crc_errors += 1   # the counter operators would inspect
-            reason = DropReason.CORRUPTION
-        elif (link.silent_drop_predicate is not None
-                and link.silent_drop_predicate(packet.five_tuple)):
-            reason = DropReason.SILENT_DROP
-        elif (is_roce and not (link.pfc_enabled and link.pfc_headroom_ok)
-                and self.rng.chance(link.congestion_drop_prob(now))):
-            reason = DropReason.QUEUE_OVERFLOW
-        if reason is not None:
-            self._drop_transit(transit, reason, link.name, route.nodes[idx])
-            return
-        if next_switch is not None:
-            acl = next_switch.acl
-            if acl.deny_rules and not acl.permits(packet.five_tuple):
-                self._drop_transit(transit, DropReason.ACL_DENY, link.name,
-                                   next_switch.name)
+            delay = link.traversal_delay_ns(now, packet.size_bytes,
+                                            roce_queue=is_roce)
+            if next_switch is not None:
+                delay += SWITCH_FORWARD_LATENCY_NS
+            link.packets_forwarded += 1
+            if self.int_collector is not None:
+                self.int_collector.stamp(packet, link, now)
+            if self.tracer is not None:
+                seq, leg = self._probe_leg(packet)
+                if seq is not None:
+                    node = route.nodes[idx]
+                    ways = len(self.topology.next_hops(node, transit.dst))
+                    fields = {"leg": leg, "node": node,
+                              "next": route.nodes[idx + 1],
+                              "delay_ns": delay, "ecmp_ways": ways}
+                    if link.pause_delay_ns:
+                        fields["pfc_pause_ns"] = link.pause_delay_ns
+                    self.tracer.event(seq, now, "fabric.hop", **fields)
+            transit.idx = idx + 1
+            if not (popped and sim.run_ahead(delay)):
+                sim.schedule(delay, transit)
                 return
-            packet.ttl -= 1
-            if packet.ttl <= 0:
-                self._drop_transit(transit, DropReason.TTL_EXPIRED,
-                                   link.name, next_switch.name)
-                return
-
-        delay = link.traversal_delay_ns(now, packet.size_bytes,
-                                        roce_queue=is_roce)
-        if next_switch is not None:
-            delay += SWITCH_FORWARD_LATENCY_NS
-        link.packets_forwarded += 1
-        if self.int_collector is not None:
-            self.int_collector.stamp(packet, link, now)
-        if self.tracer is not None:
-            seq, leg = self._probe_leg(packet)
-            if seq is not None:
-                node = route.nodes[idx]
-                ways = len(self.topology.next_hops(node, transit.dst))
-                fields = {"leg": leg, "node": node,
-                          "next": route.nodes[idx + 1], "delay_ns": delay,
-                          "ecmp_ways": ways}
-                if link.pause_delay_ns:
-                    fields["pfc_pause_ns"] = link.pause_delay_ns
-                self.tracer.event(seq, now, "fabric.hop", **fields)
-        transit.idx = idx + 1
-        self.sim.schedule(delay, transit)
 
     def _deliver(self, transit: _Transit) -> None:
         packet = transit.packet

@@ -108,9 +108,9 @@ class Observability:
             .value = cluster.sim.events_processed
         self.metrics.gauge("repro_sim_now_ns").set(cluster.sim.now)
         self.metrics.gauge(
-            "repro_sim_event_pool_free",
-            help="recycled _Event records parked on the engine free list"
-        ).set(cluster.sim.event_pool_free)
+            "repro_sim_events_pending",
+            help="live events queued in the engine"
+        ).set(cluster.sim.pending())
         self.metrics.gauge(
             "repro_fabric_packet_pool_free",
             help="RoCE packets parked on the fabric packet pool free list"

@@ -1,8 +1,8 @@
 """Versioned checkpoint files for serve-mode sessions.
 
-A checkpoint is the *whole world*: the calendar queue with every pending
-event, the pooled-object free lists, every RNG stream's position, and
-all tracker/sketch/shard state — captured by pickling the live
+A checkpoint is the *whole world*: the event heap with every pending
+event, the packet/CQE/transit free lists, every RNG stream's position,
+and all tracker/sketch/shard state — captured by pickling the live
 :class:`~repro.serve.session.ServeSession` object graph.  The substrate
 keeps that graph picklable on purpose (scheduled callbacks are bound
 methods or ``functools.partial``, never lambdas), and the restore
@@ -18,7 +18,10 @@ File layout (all before the payload is human-inspectable)::
 
 The metadata carries enough identity (spec, seed, shards, tick, config
 digest) to reject a restore against the wrong code or world without
-unpickling anything.
+unpickling anything.  ``FORMAT`` is bumped whenever the pickled object
+graph changes shape (format 2: the engine's event heap replaced the
+calendar queue and its pooled event records), so a file written by an
+older layout is refused before its payload is touched.
 
 Also a tiny CLI, used by tests to prove *cross-process* restore::
 
@@ -38,7 +41,7 @@ from typing import Optional
 from repro.serve.session import ServeSession
 
 MAGIC = b"REPRO-SERVE-CKPT v1\n"
-FORMAT = 1
+FORMAT = 2
 
 
 class CheckpointError(RuntimeError):

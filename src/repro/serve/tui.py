@@ -79,12 +79,12 @@ def _probe_rates(history: list, tick_ns: int) -> list:
 
 
 def _gauges_line(session: ServeSession) -> str:
-    """Pool and shard gauges from the metric registry, one line."""
+    """Engine, pool and shard gauges from the metric registry, one line."""
     snapshot = session.system.obs.metrics.snapshot()
     parts = []
-    pool = snapshot.get("repro_sim_event_pool_free")
-    if pool is not None:
-        parts.append(f"event_pool_free={pool}")
+    pending = snapshot.get("repro_sim_events_pending")
+    if pending is not None:
+        parts.append(f"events_pending={pending}")
     packet_pool = snapshot.get("repro_fabric_packet_pool_free")
     if packet_pool is not None:
         parts.append(f"packet_pool_free={packet_pool}")

@@ -1,28 +1,28 @@
 """Deterministic discrete-event simulation engine.
 
-The engine is a calendar-queue scheduler.  Components schedule callbacks at
-absolute or relative times; the engine pops events in (time, sequence) order
-so simultaneous events run in the order they were scheduled, which makes
-every run bit-for-bit reproducible for a given seed.
+The engine is one binary heap of plain tuples.  Components schedule
+callbacks at absolute or relative times; the engine pops events in
+(time, sequence) order so simultaneous events run in the order they were
+scheduled, which makes every run bit-for-bit reproducible for a given seed.
 
 Design notes
 ------------
 * Callbacks, not coroutines.  A callback scheduler is both faster and easier
   to reason about for the probe/respond/analyze loops this package runs, and
   it avoids the generator-trampoline machinery of a process-based kernel.
-* Calendar queue, not a single heap.  The workload is dominated by
-  same-interval :class:`PeriodicTask` firings plus short in-flight packet
-  hops, so events cluster tightly in time.  The queue buckets events by
-  ``time >> bucket_bits`` (default 20 bits ~ 1.05 ms per bucket): pushes
-  into future buckets are plain list appends, and only the *current* bucket
-  is heap-ordered.  Bucket entries are ``(time, seq, event)`` tuples so heap
-  comparisons run on ints at C speed instead of dataclass ``__lt__``.
+* Events without records.  A heap entry is ``(time, seq, callback,
+  handle)``: comparisons run on the two ints at C speed, and nothing is
+  allocated per event beyond the tuple.  ``handle`` is ``None`` for
+  fire-and-forget :meth:`Simulator.schedule`; :meth:`Simulator.call_at`
+  returns an :class:`EventHandle` that is the entry's only mutable part.
 * Events can be cancelled.  Cancellation is O(1): the handle is flagged and
-  skipped when popped (lazy deletion).  When cancelled events outnumber live
-  ones the queue compacts, so mass-cancel workloads cannot bloat it.
-* Events are pooled.  ``_Event`` records carry a generation counter and are
-  recycled through a bounded free list; a stale :class:`EventHandle` whose
-  event was recycled detects the generation mismatch and becomes inert.
+  its entry skipped when popped (lazy deletion).  When cancelled entries
+  outnumber live ones the heap compacts, so mass-cancel workloads cannot
+  bloat it.  A handle forgets its engine when its event fires, so a cancel
+  after the fact is inert.
+* Run-ahead.  An event that would schedule its own continuation may ask
+  :meth:`Simulator.run_ahead` to run it inline instead, when nothing else
+  can run in between (the forwarding walker does this per hop).
 * Periodic tasks are first-class because almost everything in R-Pingmesh is
   periodic: probing threads, pinglist refreshes, analysis periods.
 """
@@ -33,16 +33,10 @@ import heapq
 import itertools
 from typing import Callable, Optional
 
-#: Bucket width in bits of sim-time (2**20 ns ~ 1.05 ms per bucket).
-#: Swept empirically on the steady-state probing workload: wider buckets
-#: amortize bucket-heap churn until ~2**21, where current-bucket heap ops
-#: start to dominate.  Pop order is exact (time, seq) at any width, so the
-#: setting cannot affect replay digests — only speed.
-BUCKET_BITS_DEFAULT = 20
-#: Free-list cap for recycled _Event records (0 disables pooling).
-EVENT_POOL_DEFAULT = 8192
 #: Sentinel horizon for run_all: beyond any schedulable time.
 _FAR_FUTURE = 1 << 62
+#: Cancelled entries tolerated in the heap before compaction is considered.
+_COMPACT_MIN = 64
 
 
 class SimulationError(RuntimeError):
@@ -58,176 +52,19 @@ class InvariantViolation(SimulationError):
     """
 
 
-class _Event:
-    """A scheduled callback.  Pooled: ``gen`` bumps on every recycle."""
-
-    __slots__ = ("time", "seq", "callback", "cancelled", "gen")
-
-    def __init__(self, time: int, seq: int,
-                 callback: Optional[Callable[[], None]] = None,
-                 cancelled: bool = False):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = cancelled
-        self.gen = 0
-
-    def __lt__(self, other: "_Event") -> bool:
-        # Queue entries are (time, seq, event) tuples, so this only runs on
-        # an exact (time, seq) tie — impossible for engine-issued events
-        # (seqs are unique) but reachable by white-box tests that smuggle
-        # hand-built events in.
-        return (self.time, self.seq) < (other.time, other.seq)
-
-
-class CalendarQueue:
-    """Bucketed event queue that pops in exact (time, seq) order.
-
-    Future buckets are unsorted lists (O(1) push); the bucket holding the
-    earliest events is heap-ordered on demand.  A small heap of bucket
-    indices finds the next non-empty bucket.  Pushes *behind* the active
-    bucket (possible only by smuggling events past ``call_at``'s guard,
-    which the white-box invariant tests do on purpose) demote the active
-    bucket back into the calendar so ordering stays exact even then.
-    """
-
-    __slots__ = ("bucket_bits", "_buckets", "_bucket_heap",
-                 "_cur_index", "_cur_heap", "_live", "_cancelled")
-
-    def __init__(self, *, bucket_bits: int = BUCKET_BITS_DEFAULT):
-        self.bucket_bits = bucket_bits
-        # bucket index -> unsorted [(time, seq, event), ...]
-        self._buckets: dict[int, list[tuple[int, int, _Event]]] = {}
-        self._bucket_heap: list[int] = []
-        self._cur_index = -1          # active (heap-ordered) bucket; -1 none
-        self._cur_heap: list[tuple[int, int, _Event]] = []
-        self._live = 0                # scheduled and not cancelled
-        self._cancelled = 0           # cancelled but still queued
-
-    @property
-    def live(self) -> int:
-        """Number of live (non-cancelled) queued events."""
-        return self._live
-
-    def __len__(self) -> int:
-        return self._live + self._cancelled
-
-    def push(self, event: _Event) -> None:
-        """Enqueue an event (its time/seq must already be set)."""
-        self._live += 1
-        index = event.time >> self.bucket_bits
-        if index == self._cur_index:
-            heapq.heappush(self._cur_heap, (event.time, event.seq, event))
-            return
-        bucket = self._buckets.get(index)
-        if bucket is None:
-            self._buckets[index] = [(event.time, event.seq, event)]
-            heapq.heappush(self._bucket_heap, index)
-        else:
-            bucket.append((event.time, event.seq, event))
-
-    def note_cancel(self) -> None:
-        """Account a first-time cancellation of a still-queued event."""
-        self._live -= 1
-        self._cancelled += 1
-        if self._cancelled > 64 and self._cancelled > self._live:
-            self.compact()
-
-    def pop_due(self, limit: int) -> Optional[_Event]:
-        """Dequeue the globally-earliest event if its time is <= ``limit``.
-
-        Returns cancelled events too (the caller recycles them); ordering
-        across the live ones is exact (time, seq).
-        """
-        while True:
-            cur = self._cur_heap
-            bucket_heap = self._bucket_heap
-            if bucket_heap and (not cur or bucket_heap[0] < self._cur_index):
-                # An earlier bucket exists (or no bucket is active).
-                if not cur and (bucket_heap[0] << self.bucket_bits) > limit:
-                    return None   # every queued event is beyond the horizon
-                if cur:
-                    self._demote_current()
-                if not self._activate_next():
-                    return None
-                continue
-            if not cur:
-                return None
-            head = cur[0]
-            if head[0] > limit:
-                return None
-            event = heapq.heappop(cur)[2]
-            if event.cancelled:
-                self._cancelled -= 1
-            else:
-                self._live -= 1
-            return event
-
-    def _activate_next(self) -> bool:
-        """Heapify the earliest calendar bucket into the active slot."""
-        bucket_heap = self._bucket_heap
-        while bucket_heap:
-            index = heapq.heappop(bucket_heap)
-            bucket = self._buckets.pop(index, None)
-            if bucket is None:
-                continue              # stale index left behind by compact()
-            heapq.heapify(bucket)
-            self._cur_index = index
-            self._cur_heap = bucket
-            return True
-        self._cur_index = -1
-        self._cur_heap = []
-        return False
-
-    def _demote_current(self) -> None:
-        """Return the active bucket to the calendar (past-push path)."""
-        bucket = self._cur_heap
-        index = self._cur_index
-        self._cur_index = -1
-        self._cur_heap = []
-        if not bucket:
-            return
-        existing = self._buckets.get(index)
-        if existing is None:
-            self._buckets[index] = bucket
-            heapq.heappush(self._bucket_heap, index)
-        else:
-            existing.extend(bucket)
-
-    def compact(self) -> None:
-        """Drop cancelled entries (lazy-deletion sweep).
-
-        Triggered from :meth:`note_cancel` once cancelled entries outnumber
-        live ones; also callable directly.  Emptied calendar buckets leave a
-        stale index in the bucket heap, which activation skips.
-        """
-        kept = [entry for entry in self._cur_heap if not entry[2].cancelled]
-        heapq.heapify(kept)
-        self._cur_heap = kept
-        for index in list(self._buckets):
-            bucket = [entry for entry in self._buckets[index]
-                      if not entry[2].cancelled]
-            if bucket:
-                self._buckets[index] = bucket
-            else:
-                del self._buckets[index]
-        self._cancelled = 0
-
-
 class EventHandle:
     """Opaque handle to a scheduled event, usable for cancellation.
 
-    Snapshots the event's generation so a handle outliving its (recycled)
-    event can never cancel an unrelated later event.
+    Holds its engine only while the event is queued: firing or cancelling
+    drops the reference, so a handle outliving its event can never touch
+    the engine's accounting again.
     """
 
-    __slots__ = ("_event", "_gen", "_time", "_queue", "_cancelled")
+    __slots__ = ("_time", "_sim", "_cancelled")
 
-    def __init__(self, event: _Event, queue: CalendarQueue):
-        self._event = event
-        self._gen = event.gen
-        self._time = event.time
-        self._queue = queue
+    def __init__(self, time: int, sim: "Simulator"):
+        self._time = time
+        self._sim: Optional[Simulator] = sim
         self._cancelled = False
 
     @property
@@ -245,10 +82,10 @@ class EventHandle:
         if self._cancelled:
             return
         self._cancelled = True
-        event = self._event
-        if event.gen == self._gen and not event.cancelled:
-            event.cancelled = True
-            self._queue.note_cancel()
+        sim = self._sim
+        if sim is not None:
+            self._sim = None
+            sim._note_cancel()
 
 
 class PeriodicTask:
@@ -326,14 +163,17 @@ class Simulator:
     reference to the same simulator.
     """
 
-    def __init__(self, *, seed: int = 0, check_invariants: bool = False,
-                 bucket_bits: int = BUCKET_BITS_DEFAULT,
-                 event_pool_size: int = EVENT_POOL_DEFAULT,
-                 sanitizer=None):
-        self._queue = CalendarQueue(bucket_bits=bucket_bits)
+    def __init__(self, *, seed: int = 0, check_invariants: bool = False):
+        # (time, seq, callback, handle-or-None); seqs are unique, so heap
+        # comparisons never reach the callback.
+        self._heap: list[tuple] = []
+        self._cancelled = 0           # cancelled entries still in the heap
         self._seq = itertools.count()
         self._now = 0
         self._running = False
+        # Horizon of the drain in progress; -1 outside one, which turns
+        # run_ahead off for code running outside the event loop.
+        self._drain_limit = -1
         self.seed = seed
         # Simple deterministic jitter source decoupled from component RNGs.
         self._jitter_state = (seed * 2654435761 + 1) & 0xFFFFFFFF
@@ -348,50 +188,14 @@ class Simulator:
         # draws randomness, or feeds wall time back into sim state, so
         # installing one cannot change replay digests.
         self._profiler = None
-        # Bounded free list of recycled _Event records.  Generation counters
-        # (bumped on every recycle, pooled or not) keep stale handles inert,
-        # so pool size 0 is behaviourally identical to any positive size.
-        self._event_pool_size = event_pool_size
-        self._event_free: list[_Event] = []
-        # Opt-in pool sanitizer (repro.analysis.sanitize.PoolSanitizer):
-        # observes every _Event acquire/recycle and poisons recycled
-        # records.  Like the profiler it only watches — digests must be
-        # byte-identical with or without it.
-        self._san = None
-        if sanitizer is not None:
-            self.set_sanitizer(sanitizer)
-
-    def set_sanitizer(self, sanitizer) -> None:
-        """Install (or, with None, remove) a pool sanitizer."""
-        self._san = sanitizer
-        if sanitizer is not None:
-            sanitizer.bind_sim(self)
-
-    @property
-    def sanitizer(self):
-        """The installed pool sanitizer, if any."""
-        return self._san
 
     @property
     def queue_depth(self) -> int:
         """Queued events including cancelled-but-unpopped ones.
 
-        The sanitizer's event-accounting invariant compares this against
-        its outstanding-record count; ordinary code wants :meth:`pending`
-        (live events only).
+        Ordinary code wants :meth:`pending` (live events only).
         """
-        return len(self._queue)
-
-    @property
-    def event_pool_free(self) -> int:
-        """Recycled ``_Event`` records currently on the free list.
-
-        Observability surface (``repro_sim_event_pool_free``) and part of
-        the checkpoint state-capture contract (DESIGN.md §13): the free
-        list rides along in a pickled world so the restored run acquires
-        pooled records in the same order as an uninterrupted one.
-        """
-        return len(self._event_free)
+        return len(self._heap)
 
     def set_profiler(self, profiler) -> None:
         """Install (or, with None, remove) an event profiler."""
@@ -412,21 +216,9 @@ class Simulator:
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule in the past: {time} < now {self._now}")
-        free = self._event_free
-        if free:
-            event = free.pop()
-            if self._san is not None:
-                self._san.reacquire_event(event)
-            event.time = time
-            event.seq = next(self._seq)
-            event.callback = callback
-            event.cancelled = False
-        else:
-            event = _Event(time, next(self._seq), callback)
-            if self._san is not None:
-                self._san.acquire_event(event)
-        self._queue.push(event)
-        return EventHandle(event, self._queue)
+        handle = EventHandle(time, self)
+        heapq.heappush(self._heap, (time, next(self._seq), callback, handle))
+        return handle
 
     def call_later(self, delay: int, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` ``delay`` ns from now."""
@@ -444,38 +236,52 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"delay must be non-negative, got {delay}")
-        free = self._event_free
-        if free:
-            event = free.pop()
-            if self._san is not None:
-                self._san.reacquire_event(event)
-            event.time = self._now + delay
-            event.seq = next(self._seq)
-            event.callback = callback
-            event.cancelled = False
-        else:
-            event = _Event(self._now + delay, next(self._seq), callback)
-            if self._san is not None:
-                self._san.acquire_event(event)
-        self._queue.push(event)
+        heapq.heappush(self._heap,
+                       (self._now + delay, next(self._seq), callback, None))
+
+    def run_ahead(self, delay: int) -> bool:
+        """Advance the clock ``delay`` ns inline, if nothing can intervene.
+
+        For the event being executed: instead of scheduling its own
+        continuation ``delay`` ns out, it may call this and, on True, run
+        the continuation itself at the advanced clock.  That is only
+        allowed when the continuation's time is within the current drain's
+        horizon and strictly before the queue head, so no queued event
+        (including a same-time one scheduled earlier, which would pop
+        first) could have run in between.  The accepted continuation counts
+        as one processed event, exactly as if it had been popped, so
+        ``events_processed`` and ``pending()`` match the scheduled path.
+        ``delay`` must be non-negative.
+        """
+        time = self._now + delay
+        if time > self._drain_limit:
+            return False
+        heap = self._heap
+        if heap and heap[0][0] <= time:
+            return False
+        self._now = time
+        self.events_processed += 1
+        return True
 
     def every(self, interval: int, callback: Callable[[], None], *,
               delay: Optional[int] = None, jitter: int = 0) -> PeriodicTask:
         """Create and start a :class:`PeriodicTask`."""
         return PeriodicTask(self, interval, callback, jitter=jitter).start(delay=delay)
 
-    def _recycle(self, event: _Event) -> None:
-        """Retire a dequeued event.  The generation bump (done whether or
-        not the record re-enters the free list) is what invalidates any
-        surviving handle."""
-        event.gen += 1
-        event.callback = None
-        free = self._event_free
-        recycled = len(free) < self._event_pool_size
-        if self._san is not None:
-            self._san.release_event(event, recycled=recycled)
-        if recycled:
-            free.append(event)
+    def _note_cancel(self) -> None:
+        """Account a first-time cancellation of a still-queued event."""
+        self._cancelled += 1
+        cancelled = self._cancelled
+        if cancelled > _COMPACT_MIN and cancelled > len(self._heap) - cancelled:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Drop cancelled entries (lazy-deletion sweep), in place."""
+        heap = self._heap
+        heap[:] = [entry for entry in heap
+                   if entry[3] is None or not entry[3]._cancelled]
+        heapq.heapify(heap)
+        self._cancelled = 0
 
     def _drain(self, limit_time: int, max_events: Optional[int] = None) -> None:
         """The single pop/execute loop behind run_until and run_all.
@@ -483,35 +289,37 @@ class Simulator:
         Keeping one copy means the invariant check and the profiler hook
         cannot drift apart between the two entry points.
         """
-        queue = self._queue
-        pop_due = queue.pop_due
-        recycle = self._recycle
+        heap = self._heap
+        heappop = heapq.heappop
+        check_invariants = self.check_invariants
         processed = 0
-        while True:
-            event = pop_due(limit_time)
-            if event is None:
-                break
-            if event.cancelled:
-                recycle(event)
-                continue
-            time = event.time
-            if self.check_invariants and time < self._now:
-                raise InvariantViolation(
-                    f"event scheduled before current sim time: "
-                    f"{time} < now {self._now}")
-            self._now = time
-            callback = event.callback
-            recycle(event)
-            profiler = self._profiler
-            if profiler is None:
-                callback()
-            else:
-                profiler.run(callback)
-            self.events_processed += 1
-            processed += 1
-            if max_events is not None and processed >= max_events:
-                raise SimulationError(
-                    f"run_all exceeded {max_events} events; runaway schedule?")
+        self._drain_limit = limit_time
+        try:
+            while heap and heap[0][0] <= limit_time:
+                time, _, callback, handle = heappop(heap)
+                if handle is not None:
+                    if handle._cancelled:
+                        self._cancelled -= 1
+                        continue
+                    handle._sim = None
+                if check_invariants and time < self._now:
+                    raise InvariantViolation(
+                        f"event scheduled before current sim time: "
+                        f"{time} < now {self._now}")
+                self._now = time
+                profiler = self._profiler
+                if profiler is None:
+                    callback()
+                else:
+                    profiler.run(callback)
+                self.events_processed += 1
+                processed += 1
+                if max_events is not None and processed >= max_events:
+                    raise SimulationError(
+                        f"run_all exceeded {max_events} events; "
+                        "runaway schedule?")
+        finally:
+            self._drain_limit = -1
 
     def run_until(self, time: int) -> None:
         """Process events until simulated time reaches ``time``.
@@ -547,7 +355,7 @@ class Simulator:
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
-        return self._queue.live
+        return len(self._heap) - self._cancelled
 
     def rng_jitter(self, bound: int) -> int:
         """Deterministic jitter in ``[0, bound)`` for periodic task spacing."""

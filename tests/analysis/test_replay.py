@@ -6,11 +6,13 @@ including ``Simulator.events_processed`` and per-stream RNG draw counts —
 and the opt-in scheduler invariants hold throughout.
 """
 
+import heapq
+
 import pytest
 
 from repro.analysis.runtime import (default_scenario, replay_digest,
                                     structural_digest)
-from repro.sim.engine import InvariantViolation, Simulator, _Event
+from repro.sim.engine import InvariantViolation, Simulator
 from repro.sim.units import SECOND
 
 REPLAY_SEEDS = [3, 7, 11]
@@ -73,11 +75,11 @@ def test_structural_digest_rejects_opaque_objects():
 
 
 def test_invariant_violation_on_past_event():
-    # White box: the public API refuses past scheduling, so smuggle an
-    # event behind call_at's guard the way a buggy refactor might.
+    # White box: the public API refuses past scheduling, so smuggle a
+    # heap entry behind call_at's guard the way a buggy refactor might.
     sim = Simulator(seed=1, check_invariants=True)
     sim.run_until(100)
-    sim._queue.push(_Event(50, 0, lambda: None))
+    heapq.heappush(sim._heap, (50, -1, lambda: None, None))
     with pytest.raises(InvariantViolation):
         sim.run_until(200)
 
@@ -85,7 +87,7 @@ def test_invariant_violation_on_past_event():
 def test_invariants_off_by_default_tolerates_same_heap_state():
     sim = Simulator(seed=1)
     sim.run_until(100)
-    sim._queue.push(_Event(50, 0, lambda: None))
+    heapq.heappush(sim._heap, (50, -1, lambda: None, None))
     sim.run_until(200)  # silently mis-times the event, but does not raise
     assert sim.now == 200
 

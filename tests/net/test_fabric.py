@@ -3,12 +3,15 @@
 import pytest
 
 from repro.cluster import Cluster
+from repro.core.system import RPingmesh
+from repro.fleet.presets import TINY
 from repro.net.addresses import roce_five_tuple, FiveTuple, PROTO_TCP
 from repro.net.clos import ClosParams
-from repro.net.fabric import DropReason, Fabric
+from repro.net.fabric import DropReason, Fabric, _Transit
 from repro.net.faults import LinkCorruption
 from repro.net.packet import RoCEPacket, TCPPacket
 from repro.net.topology import Tier, Topology
+from repro.obs.profiler import SimProfiler
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStream
 from repro.sim.units import seconds
@@ -360,3 +363,111 @@ class TestCounters:
         fabric.inject(roce_packet(), "a")
         sim.run_until(seconds(1))
         assert topo.link("a", "tor1").packets_forwarded == 1
+
+
+class _HopLog:
+    """Stands in for the INT collector: sees every hop at its own time."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def stamp(self, packet, link, now):
+        self.log.append(("hop", link.name, now))
+
+    def collect(self, packet, now):
+        self.log.append(("deliver", now))
+
+
+def probe_flight_steps(steps):
+    """(now, events_processed, pending(), walker state) per 1 us step.
+
+    The walker state is ``(packet_id, idx)`` of the transit that carries
+    the first probe sent after t=3 s of a deployed TINY world (and, once
+    it is recycled, of whatever packet reuses it), or None while idle.
+    """
+    cluster = Cluster.clos(TINY, seed=5)
+    RPingmesh(cluster).start()
+    sim, fabric = cluster.sim, cluster.fabric
+    sim.run_until(seconds(3))
+    captured = []
+    inject = fabric.inject
+
+    def capture(packet, src_port):
+        if not captured and packet.payload.get("t") == "probe":
+            captured.append(_Transit(fabric))
+            fabric._transit_free.append(captured[0])   # the next one taken
+        inject(packet, src_port)
+    fabric.inject = capture
+    while not captured:
+        sim.run_until(sim.now + 1000)
+    transit = captured[0]
+    out = []
+    for _ in range(steps):
+        out.append((sim.now, sim.events_processed, sim.pending(),
+                    None if transit.packet is None
+                    else (transit.packet.packet_id, transit.idx)))
+        sim.run_until(sim.now + 1000)
+    return out
+
+
+class TestRunAhead:
+    """Hops taken inline are indistinguishable from scheduled ones."""
+
+    def test_event_queued_at_a_hops_time_runs_before_the_hop(self):
+        sim, topo, fabric = build_fabric()
+        fabric.attach_receiver("b", lambda p, rec: None)
+        free = []
+        fabric.int_collector = _HopLog(free)
+        fabric.inject(roce_packet(), "a")
+        sim.run_until(seconds(1))
+        hop_times = [entry[-1] for entry in free if entry[0] == "hop"]
+        # Hop 3 would run inline in hop 2's event, but an event already
+        # waits at exactly its time: that event was scheduled first.
+        sim, topo, fabric = build_fabric()
+        fabric.attach_receiver("b", lambda p, rec: None)
+        log = []
+        fabric.int_collector = _HopLog(log)
+        sim.call_at(hop_times[2], lambda: log.append(("event", sim.now)))
+        fabric.inject(roce_packet(), "a")
+        sim.run_until(seconds(1))
+        assert log == free[:2] + [("event", hop_times[2])] + free[2:]
+        assert sim.events_processed == 5
+
+    def test_stepping_across_a_probe_flight_matches_scheduled_hops(self):
+        # Captured on the engine that scheduled every hop as an event.
+        assert probe_flight_steps(20) == [
+            (3013615000, 4225, 29, (631, 1)),
+            (3013616000, 4226, 29, (631, 2)),
+            (3013617000, 4227, 29, (631, 3)),
+            (3013618000, 4228, 29, (631, 4)),
+            (3013619000, 4229, 29, None),
+            (3013620000, 4229, 29, None),
+            (3013621000, 4229, 29, None),
+            (3013622000, 4229, 29, None),
+            (3013623000, 4229, 29, None),
+            (3013624000, 4229, 29, None),
+            (3013625000, 4229, 29, None),
+            (3013626000, 4230, 29, None),
+            (3013627000, 4231, 30, (632, 1)),
+            (3013628000, 4233, 30, (632, 2)),
+            (3013629000, 4235, 30, (632, 3)),
+            (3013630000, 4238, 30, None),
+            (3013631000, 4240, 29, None),
+            (3013632000, 4240, 29, None),
+            (3013633000, 4240, 29, None),
+            (3013634000, 4241, 27, None),
+        ]
+
+    def test_profiler_sees_popped_events_engine_counts_inline_hops(self):
+        sim, topo, fabric = build_fabric()
+        got = []
+        fabric.attach_receiver("b", lambda p, rec: got.append(rec))
+        profiler = SimProfiler()
+        sim.set_profiler(profiler)
+        fabric.inject(roce_packet(), "a")   # takes the first hop itself
+        sim.run_until(seconds(1))
+        assert len(got) == 1 and len(got[0].path) == 5
+        # Nothing else is queued, so one popped event takes the other
+        # three hops and the delivery; each still counts as an event.
+        assert profiler.events_total == 1
+        assert sim.events_processed == 4

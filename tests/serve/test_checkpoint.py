@@ -15,7 +15,8 @@ import pytest
 
 from repro.serve import (CheckpointError, ServeSession, ServeSpec,
                          load_checkpoint, read_metadata, save_checkpoint)
-from repro.serve.checkpoint import MAGIC
+from repro.serve import checkpoint
+from repro.serve.checkpoint import FORMAT, MAGIC
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -91,7 +92,7 @@ class TestFileFormat:
     def test_metadata_readable_without_unpickling(self, tmp_path):
         path = self.make_checkpoint(tmp_path)
         meta = read_metadata(path)
-        assert meta["format"] == 1
+        assert meta["format"] == FORMAT == 2
         assert meta["tick"] == 3
         assert meta["sim_now_ns"] == 3 * 10 ** 9
         assert meta["seed"] == 1
@@ -112,6 +113,25 @@ class TestFileFormat:
             read_metadata(path)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_format_1_file_refused_without_unpickling(self, tmp_path,
+                                                      monkeypatch):
+        # Format 1 pickled the calendar-queue engine; its payload must
+        # never be unpickled into today's Simulator.
+        path = self.make_checkpoint(tmp_path)
+        header, payload = path.read_bytes()[len(MAGIC):].split(b"\n", 1)
+        meta = json.loads(header)
+        meta["format"] = 1
+        path.write_bytes(MAGIC + json.dumps(meta, sort_keys=True).encode()
+                         + b"\n" + payload)
+
+        def refuse(*_):
+            raise AssertionError("format-1 payload was unpickled")
+        monkeypatch.setattr(checkpoint.pickle, "loads", refuse)
+        for reader in (read_metadata, load_checkpoint):
+            with pytest.raises(CheckpointError,
+                               match="unsupported checkpoint format 1"):
+                reader(path)
 
     def test_truncated_file_rejected(self, tmp_path):
         path = self.make_checkpoint(tmp_path)

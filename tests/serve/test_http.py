@@ -6,7 +6,9 @@ server over a real socket, exactly as a scraper would.
 
 import http.client
 import json
+import socket
 import statistics
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -244,6 +246,70 @@ class TestKeepAlive:
         finally:
             conn.close()
         assert statistics.median(elapsed) < 0.020, elapsed
+
+
+class TestStalledClient:
+    """A keep-alive client that never reads cannot hold the tick loop."""
+
+    REQUESTS = 1000   # ~10 MB of /metrics: far beyond any socket buffer
+
+    @staticmethod
+    def tick_seconds(session, server, ticks):
+        stamps = [time.perf_counter()]
+        worker = threading.Thread(
+            target=run_serve, args=(session, server), daemon=True,
+            kwargs={"pace_s": 0, "max_ticks": ticks,
+                    "render": lambda _: stamps.append(time.perf_counter())})
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive(), "tick loop stalled behind a client"
+        return [b - a for a, b in zip(stamps, stamps[1:])]
+
+    def test_unread_metrics_responses_do_not_delay_ticks(self, monkeypatch):
+        session = ServeSession(ServeSpec(seed=5))
+        server = ServeHTTPServer(session)
+        handler_cls = server._httpd.RequestHandlerClass
+        original = handler_cls._respond
+        answered = []
+
+        def respond(handler, *args):
+            original(handler, *args)
+            answered.append(handler.path)
+        monkeypatch.setattr(handler_cls, "_respond", respond)
+        client = socket.socket()
+        client.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+
+        def pipeline():
+            try:
+                client.sendall(b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n"
+                               * self.REQUESTS)
+            except OSError:
+                pass   # closed under us at teardown
+        server.start()
+        try:
+            run_serve(session, server, pace_s=0, max_ticks=3)
+            baseline = self.tick_seconds(session, server, 10)
+            client.connect((server.host, server.port))
+            threading.Thread(target=pipeline, daemon=True).start()
+            # Let the handler answer until its writes block: the count of
+            # completed responses stops moving.
+            seen, quiet_since = -1, time.perf_counter()
+            deadline = quiet_since + 20
+            while time.perf_counter() < deadline:
+                if len(answered) != seen:
+                    seen, quiet_since = len(answered), time.perf_counter()
+                elif time.perf_counter() - quiet_since > 0.5:
+                    break
+                time.sleep(0.05)
+            stalled = self.tick_seconds(session, server, 10)
+            # The handler is still stuck mid-write while the ticks ran.
+            assert len(answered) < self.REQUESTS
+        finally:
+            client.close()
+            server.stop()
+        assert session.ticks == 23
+        assert statistics.median(stalled) < \
+            3 * statistics.median(baseline) + 0.05, (baseline, stalled)
 
 
 class TestShutdownEndpoint:

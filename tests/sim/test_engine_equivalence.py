@@ -1,138 +1,162 @@
-"""Differential test: CalendarQueue vs the original single-heapq scheduler.
+"""Differential test: ``Simulator`` vs a sorted-list reference engine.
 
-The calendar queue replaced a plain ``heapq`` of (time, seq) entries.  Its
-contract is *exact* pop order — byte-identical behaviour, not approximate
-bucket order — so this harness drives both implementations with the same
-randomized, seeded operation stream and requires identical observable
-results at every step:
+The engine keeps one heap of ``(time, seq, callback, handle)`` tuples and
+may run a continuation inline (``run_ahead``) instead of scheduling it.
+Its contract is *exact* behaviour — the order a sorted list would give,
+with every continuation treated as an ordinary scheduled event — so this
+harness drives both with the same randomized, seeded operation stream and
+requires identical observable results at every step:
 
-* pops in exact (time, seq) order, including same-timestamp ties;
-* lazy-deleted (cancelled) entries never surface as live pops;
-* cancel-after-fire is harmless;
-* pushes *before* the last popped time (the white-box replay-test path)
-  still pop, and in the right order;
-* live counts agree after every operation, including across compaction.
+* events fire in exact (time, seq) order, including same-timestamp ties;
+* cancelled events never fire, and cancel-after-fire is harmless;
+* a run-ahead continuation fires at the same time, in the same place in
+  the order, and counts as one processed event, whether the engine ran it
+  inline or scheduled it;
+* scheduling before ``now`` is rejected and leaves the engine untouched;
+* ``now``, ``events_processed`` and ``pending()`` agree after every
+  operation, including across compaction.
 
-``_HeapReference`` below is a faithful port of the pre-calendar-queue
-engine core: one heap, (time, seq, event) tuples, lazy deletion.
+``_SortedReference`` below is the contract spelled out as plainly as
+possible: a list kept sorted by (time, seq), no lazy deletion, no
+run-ahead.
 """
 
-import heapq
+import bisect
 import random
 
-from repro.sim.engine import CalendarQueue, _Event
+import pytest
+
+from repro.sim.engine import SimulationError, Simulator
 
 
-class _HeapReference:
-    """The original engine's queue: a single heap with lazy deletion."""
+class _SortedReference:
+    """The engine's contract: a sorted list, and nothing clever."""
 
     def __init__(self):
-        self._heap = []
-        self.live = 0
-        self._cancelled = 0
+        self.entries = []     # (time, seq, label), always sorted
+        self.seq = 0
+        self.now = 0
+        self.processed = 0
 
-    def push(self, event):
-        heapq.heappush(self._heap, (event.time, event.seq, event))
-        self.live += 1
+    def push(self, time, label):
+        bisect.insort(self.entries, (time, self.seq, label))
+        self.seq += 1
 
-    def note_cancel(self):
-        self.live -= 1
-        self._cancelled += 1
+    def cancel(self, label):
+        self.entries = [e for e in self.entries if e[2] != label]
 
-    def pop_due(self, limit):
-        heap = self._heap
-        if not heap or heap[0][0] > limit:
-            return None
-        event = heapq.heappop(heap)[2]
-        if event.cancelled:
-            self._cancelled -= 1
-        else:
-            self.live -= 1
-        return event
+    def run_until(self, limit, plans, log):
+        while self.entries and self.entries[0][0] <= limit:
+            time, _, label = self.entries.pop(0)
+            self.now = time
+            self.processed += 1
+            log.append((time, label))
+            plan = plans.get(label)
+            if plan is not None:
+                _, delay, child = plan
+                self.push(time + delay, child)
+        self.now = limit
 
-
-class _Mirror:
-    """One logical event mirrored into both queues."""
-
-    __slots__ = ("ref_event", "cal_event", "cancelled", "fired")
-
-    def __init__(self, time, seq):
-        self.ref_event = _Event(time, seq)
-        self.cal_event = _Event(time, seq)
-        self.cancelled = False
-        self.fired = False
+    def pending(self):
+        return len(self.entries)
 
 
 class _Harness:
-    def __init__(self, seed, bucket_bits=8):
-        # Narrow buckets (2**8 ticks) so a short random schedule still
-        # spans many buckets and exercises activation/demotion constantly.
-        self.rng = random.Random(seed)
-        self.ref = _HeapReference()
-        self.cal = CalendarQueue(bucket_bits=bucket_bits)
-        self.seq = 0
-        self.now = 0
-        self.queued = []      # mirrors pushed and not yet popped-live
-        self.popped = []      # mirrors popped live, for cancel-after-fire
+    """One operation stream applied to the engine and the reference."""
 
-    def push(self, time):
-        mirror = _Mirror(time, self.seq)
-        self.seq += 1
-        self.ref.push(mirror.ref_event)
-        self.cal.push(mirror.cal_event)
-        self.queued.append(mirror)
-        return mirror
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+        self.sim = Simulator(seed=seed)
+        self.ref = _SortedReference()
+        self.labels = 0
+        # label -> ("spawn" | "ahead", delay, child label): what the
+        # event does when it fires.  "spawn" schedules the child;
+        # "ahead" asks run_ahead first and runs the child inline on yes.
+        self.plans = {}
+        self.handles = {}     # label -> handle, for queued call_at events
+        self.fired = []       # handles whose event already ran
+        self.sim_log = []
+        self.ref_log = []
+        self.inline = self.refused = 0   # run_ahead answers
+
+    def _label(self):
+        self.labels += 1
+        return self.labels
+
+    def _maybe_plan(self, label, depth):
+        if depth < 4 and self.rng.random() < 0.4:
+            kind = "ahead" if self.rng.random() < 0.7 else "spawn"
+            delay = self.rng.randrange(0, 600, 100)
+            self.plans[label] = (kind, delay, self._label())
+            self._maybe_plan(self.plans[label][2], depth + 1)
+
+    def _callback(self, label):
+        sim = self.sim
+
+        def fire():
+            self.sim_log.append((sim.now, label))
+            handle = self.handles.pop(label, None)
+            if handle is not None:
+                self.fired.append(handle)
+            plan = self.plans.get(label)
+            if plan is None:
+                return
+            kind, delay, child = plan
+            if kind == "ahead":
+                if sim.run_ahead(delay):
+                    self.inline += 1
+                    self._callback(child)()
+                    return
+                self.refused += 1
+            sim.schedule(delay, self._callback(child))
+        return fire
+
+    def push(self, time, *, cancellable=True):
+        label = self._label()
+        self._maybe_plan(label, 0)
+        if cancellable:
+            self.handles[label] = self.sim.call_at(time, self._callback(label))
+        else:
+            self.sim.schedule(time - self.sim.now, self._callback(label))
+        self.ref.push(time, label)
+        self.check()
+        return label
 
     def cancel_random_queued(self):
-        candidates = [m for m in self.queued if not m.cancelled]
-        if not candidates:
+        if not self.handles:
             return
-        mirror = self.rng.choice(candidates)
-        mirror.cancelled = True
-        mirror.ref_event.cancelled = True
-        mirror.cal_event.cancelled = True
-        self.ref.note_cancel()
-        self.cal.note_cancel()
+        label = self.rng.choice(sorted(self.handles))
+        self.handles.pop(label).cancel()
+        self.ref.cancel(label)
+        self.check()
 
     def cancel_random_fired(self):
-        """Cancel-after-fire: a stale handle on an already-popped event.
-
-        The engine's EventHandle guards this with a generation check; at
-        queue level the equivalent is simply that no queue accounting is
-        touched.  Flagging the popped records must not disturb anything.
-        """
-        if not self.popped:
+        """Cancel-after-fire: a handle whose event already ran."""
+        if not self.fired:
             return
-        mirror = self.rng.choice(self.popped)
-        mirror.ref_event.cancelled = True
-        mirror.cal_event.cancelled = True
+        self.rng.choice(self.fired).cancel()
+        self.check()
 
-    def pop_until(self, limit):
-        """Pop both queues to ``limit``; their live pop streams must match."""
-        out = []
-        while True:
-            ref_ev = self.ref.pop_due(limit)
-            # Drain lazy-deleted entries exactly like Simulator._drain does.
-            while ref_ev is not None and ref_ev.cancelled:
-                ref_ev = self.ref.pop_due(limit)
-            cal_ev = self.cal.pop_due(limit)
-            while cal_ev is not None and cal_ev.cancelled:
-                cal_ev = self.cal.pop_due(limit)
-            if ref_ev is None or cal_ev is None:
-                assert ref_ev is None and cal_ev is None, (
-                    "one queue drained before the other")
-                break
-            assert (ref_ev.time, ref_ev.seq) == (cal_ev.time, cal_ev.seq), (
-                f"pop order diverged: heapq gave {(ref_ev.time, ref_ev.seq)},"
-                f" calendar gave {(cal_ev.time, cal_ev.seq)}")
-            self.now = ref_ev.time
-            mirror = next(m for m in self.queued if m.ref_event is ref_ev)
-            self.queued.remove(mirror)
-            mirror.fired = True
-            self.popped.append(mirror)
-            out.append((ref_ev.time, ref_ev.seq))
-        assert self.ref.live == self.cal.live
-        return out
+    def past_push_rejected(self):
+        if self.sim.now == 0:
+            return
+        depth, pending = self.sim.queue_depth, self.sim.pending()
+        with pytest.raises(SimulationError):
+            self.sim.call_at(self.rng.randrange(0, self.sim.now), lambda: None)
+        with pytest.raises(SimulationError):
+            self.sim.schedule(-1, lambda: None)
+        assert (self.sim.queue_depth, self.sim.pending()) == (depth, pending)
+
+    def run_until(self, limit):
+        self.sim.run_until(limit)
+        self.ref.run_until(limit, self.plans, self.ref_log)
+        assert self.sim_log == self.ref_log, "fire order diverged"
+        self.check()
+
+    def check(self):
+        sim, ref = self.sim, self.ref
+        assert (sim.now, sim.events_processed, sim.pending()) == \
+            (ref.now, ref.processed, ref.pending())
 
 
 def _run_random_schedule(seed, steps):
@@ -141,67 +165,99 @@ def _run_random_schedule(seed, steps):
     for _ in range(steps):
         op = rng.random()
         if op < 0.55:
-            # Mostly future pushes; deliberately coarse times so exact
-            # (time, seq) ties occur all the time.
-            h.push(h.now + rng.randrange(0, 2000, 100))
-        elif op < 0.65 and h.now > 0:
-            # Past push (white-box path): earlier than the popped clock.
-            h.push(rng.randrange(0, h.now))
-        elif op < 0.80:
+            # Deliberately coarse times so exact (time, seq) ties occur
+            # all the time, including with run-ahead continuations.
+            h.push(h.sim.now + rng.randrange(0, 2000, 100),
+                   cancellable=rng.random() < 0.7)
+        elif op < 0.60:
+            h.past_push_rejected()
+        elif op < 0.75:
             h.cancel_random_queued()
-        elif op < 0.85:
+        elif op < 0.80:
             h.cancel_random_fired()
         else:
-            h.pop_until(h.now + rng.randrange(0, 3000, 250))
-    h.pop_until(1 << 62)  # drain
-    assert h.cal.live == 0 and h.ref.live == 0
-    assert not h.queued or all(m.cancelled for m in h.queued)
+            h.run_until(h.sim.now + rng.randrange(0, 3000, 250))
+    h.run_until(1 << 40)  # drain
+    assert h.sim.pending() == 0 and h.ref.pending() == 0
+    return h
 
 
-def test_randomized_schedules_match_heapq_reference():
+def test_randomized_schedules_match_sorted_reference():
+    inline = refused = 0
     for seed in range(12):
-        _run_random_schedule(seed, steps=400)
+        h = _run_random_schedule(seed, steps=400)
+        inline += h.inline
+        refused += h.refused
+    # The streams exercise both answers of run_ahead.
+    assert inline > 0 and refused > 0
 
 
 def test_same_timestamp_ties_pop_in_seq_order():
     h = _Harness(0)
-    for _ in range(50):
-        h.push(1000)
-    assert h.pop_until(1000) == [(1000, seq) for seq in range(50)]
+    labels = [h.push(1000) for _ in range(50)]
+    h.plans.clear()
+    h.run_until(1000)
+    assert h.sim_log == [(1000, label) for label in labels]
+
+
+def test_run_ahead_yields_to_a_same_time_event_scheduled_first():
+    sim = Simulator()
+    log = []
+
+    def first():
+        log.append(("first", sim.now))
+        if sim.run_ahead(10):
+            log.append(("inline", sim.now))
+        else:
+            sim.schedule(10, lambda: log.append(("scheduled", sim.now)))
+    sim.call_at(5, first)
+    sim.call_at(15, lambda: log.append(("queued", sim.now)))
+    sim.run_until(100)
+    assert log == [("first", 5), ("queued", 15), ("scheduled", 15)]
+    assert sim.events_processed == 3
+
+
+def test_run_ahead_stays_inside_the_drain_horizon():
+    sim = Simulator()
+    answers = []
+    sim.call_at(5, lambda: answers.append(sim.run_ahead(10)))
+    sim.run_until(14)
+    sim.call_at(20, lambda: answers.append(sim.run_ahead(10)))
+    sim.run_until(30)
+    assert answers == [False, True]
+    assert sim.run_ahead(0) is False   # outside any drain
+    assert (sim.now, sim.events_processed) == (30, 3)
 
 
 def test_mass_cancel_triggers_compaction_and_order_survives():
     h = _Harness(1)
-    mirrors = [h.push(t) for t in range(0, 20000, 7)]
-    # Cancel enough to trip the compaction threshold (>64 and > live).
-    cancelled_total = 0
-    for mirror in mirrors[: (3 * len(mirrors)) // 4]:
-        if not mirror.cancelled:
-            mirror.cancelled = True
-            mirror.ref_event.cancelled = True
-            mirror.cal_event.cancelled = True
-            h.ref.note_cancel()
-            h.cal.note_cancel()
-            cancelled_total += 1
-    # note_cancel resets the counter on every sweep; far fewer than
-    # cancelled_total still pending proves at least one sweep ran and
-    # physically dropped entries.
-    assert h.cal._cancelled < cancelled_total
-    assert len(h.cal) < len(mirrors)
-    survivors = h.pop_until(1 << 62)
-    expected = sorted((m.ref_event.time, m.ref_event.seq)
-                      for m in mirrors if not m.cancelled)
-    assert survivors == expected
+    labels = [h.push(t) for t in range(0, 20000, 7)]
+    h.plans.clear()
+    for label in labels[: (3 * len(labels)) // 4]:
+        h.handles.pop(label).cancel()
+        h.ref.cancel(label)
+    # Compaction ran (cancelled entries outnumbered live ones past the
+    # threshold) and physically dropped entries from the heap.
+    assert h.sim.queue_depth < len(labels)
+    assert h.sim._cancelled < (3 * len(labels)) // 4
+    h.check()
+    h.run_until(1 << 40)
+    survivors = labels[(3 * len(labels)) // 4:]
+    assert [label for _, label in h.sim_log] == survivors
 
 
 def test_interleaved_past_and_future_pushes_keep_exact_order():
     h = _Harness(2)
-    h.push(5000)
-    h.push(100)
-    assert h.pop_until(200) == [(100, 1)]
-    # These land before the already-activated 5000 bucket...
-    h.push(300)
-    h.push(300)
-    # ...and this one in the past relative to pops so far is fine too:
-    h.push(50)
-    assert h.pop_until(1 << 62) == [(50, 4), (300, 2), (300, 3), (5000, 0)]
+    far = h.push(5000)
+    near = h.push(100)
+    h.plans.clear()
+    h.run_until(200)
+    assert h.sim_log == [(100, near)]
+    # Later pushes land before the far event, ties keep push order...
+    tie_a, tie_b, early = h.push(300), h.push(300), h.push(250)
+    h.plans.clear()
+    # ...and a push behind the clock is refused outright.
+    h.past_push_rejected()
+    h.run_until(1 << 40)
+    assert [label for _, label in h.sim_log] == [near, early, tie_a, tie_b,
+                                                 far]

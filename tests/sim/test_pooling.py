@@ -1,7 +1,7 @@
 """Pool-reuse correctness: recycled storage must be indistinguishable.
 
-Three pools run under the sim core — ``_Event`` records in the engine,
-``RoCEPacket`` storage in the fabric, and ``Cqe`` records on each RNIC.
+Three pools run under the sim core — ``RoCEPacket`` storage and
+``_Transit`` walkers in the fabric, and ``Cqe`` records on each RNIC.
 Pooling is purely an allocation strategy: these tests pin the two
 properties that make it invisible,
 
@@ -213,37 +213,25 @@ class TestPoolingEquivalence:
                            seed=1, pooling=False)
         assert on.fabric.packet_pool.limit > 0
         assert off.fabric.packet_pool.limit == 0
-        assert on.sim._event_pool_size > 0
-        assert off.sim._event_pool_size == 0
+        assert on.fabric._transit_pool_limit > 0
+        assert off.fabric._transit_pool_limit == 0
         assert on.rnic("host0-rnic0")._cqe_pool_limit > 0
         assert off.rnic("host0-rnic0")._cqe_pool_limit == 0
 
 
-# -- event pool --------------------------------------------------------------
+# -- event handles -----------------------------------------------------------
 
-class TestEventPool:
-    def test_stale_handle_cannot_cancel_recycled_event(self):
-        sim = Simulator(seed=0, event_pool_size=8)
+class TestEventHandles:
+    def test_handle_cancelled_after_fire_cancels_nothing_later(self):
+        sim = Simulator(seed=0)
         fired = []
         handle = sim.call_at(10, lambda: fired.append("first"))
         sim.run_until(20)
-        # The record is back in the free list; the next call reuses it.
-        handle2 = sim.call_at(30, lambda: fired.append("second"))
-        assert handle2._event is handle._event, "record should be recycled"
-        handle.cancel()           # stale: generation mismatch, must be inert
+        sim.call_at(30, lambda: fired.append("second"))
+        sim.schedule(15, lambda: fired.append("third"))
+        handle.cancel()           # its event already ran: must be inert
+        assert handle.cancelled
+        assert sim.pending() == 2
         sim.run_until(40)
-        assert fired == ["first", "second"]
-
-    def test_event_pool_zero_matches_default_execution(self):
-        def run(pool_size):
-            sim = Simulator(seed=5, event_pool_size=pool_size)
-            log = []
-            sim.every(7, lambda: log.append(("a", sim.now)), jitter=3)
-            sim.every(11, lambda: log.append(("b", sim.now)))
-            sim.call_at(50, lambda: log.append(("c", sim.now)))
-            handle = sim.call_at(60, lambda: log.append(("never", sim.now)))
-            sim.call_at(55, handle.cancel)
-            sim.run_until(500)
-            return log, sim.events_processed, sim.pending()
-
-        assert run(0) == run(8192)
+        assert fired == ["first", "second", "third"]
+        assert sim.events_processed == 3
